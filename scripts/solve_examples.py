@@ -32,7 +32,7 @@ def report(name, formula, bounds_rc, bounds_rcp):
         else:
             print(
                 f"  {label}: no model up to (w0 <= {bounds.max_w0}, "
-                f"w1 <= {bounds.max_w1}), {result.frames_examined} candidates "
+                f"w1 <= {bounds.max_w1}), {result.frames_examined} work units "
                 f"({elapsed:.2f}s)"
             )
     print()

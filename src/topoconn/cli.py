@@ -134,7 +134,7 @@ def _solve_common(args, f: Formula, runner) -> int:
         payload,
         args.json,
         f"unsat up to bounds (w0 <= {result.bounds.max_w0}, "
-        f"w1 <= {result.bounds.max_w1}); {result.frames_examined} candidates examined",
+        f"w1 <= {result.bounds.max_w1}); {result.frames_examined} work units spent",
     )
     return EXIT_FALSE
 
@@ -248,12 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--work-limit", type=int, default=10_000_000, dest="work_limit"
         )
-        sp.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="reserved; results are identical for any value",
-        )
         sp.add_argument("file")
 
     p = sub.add_parser("solve", help="bounded model search")
@@ -327,6 +321,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     except (ParseError, FrameError, SceneError, OracleCapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -22,6 +22,23 @@ individual successor sets, and the remaining positive literals are
 satisfied by a minimal successor-set family found with iterative
 deepening.  Arbitrary formulas fall back to direct enumeration.
 
+The fast path never builds all 2^v cell types of v variables.  It
+enumerates the cell types allowed by the positive equations one variable
+at a time, dropping a partial type as soon as an equation over the
+variables assigned so far rules it out; the allowed types are kept in
+ascending numeric order, and every term becomes a bitmask over that
+list.  So formulas whose equations make most cell types impossible (the
+pairwise disjoint regions of ``phi_inf_star`` keep 19 of 2^18 types)
+stay small.
+
+``work_limit`` bounds the work units spent before the bounds are
+exhausted; ``ResourceExhausted`` is raised when it is exceeded.  One
+unit is one partial cell type built, one cell-type tuple, one
+bipartition choice for the negative connectedness literals, or one
+search node of the minimal-family search on the fast path, and one
+candidate model in the fallback enumeration.  ``UnsatUpTo`` reports the
+units spent as ``frames_examined``.
+
 Results are certificates: ``Sat`` carries a model that has been
 re-checked (also against the brute-force oracle when small enough),
 ``UnsatUpTo`` only claims exhaustion of the given bounds.
@@ -65,6 +82,7 @@ from .syntax import (
     Zero,
     language_leq,
     language_of,
+    term_variables,
     to_bullet,
     variables,
 )
@@ -139,37 +157,98 @@ def as_literal_conjunction(f: Formula) -> Optional[list[_Literal]]:
 
 
 # ---------------------------------------------------------------------------
-# Cell-type truth tables
-
-# A cell type is a bitmask over the formula's variables.  Every term
-# denotes, per depth-0 point, a Boolean function of that point's cell
-# type, encoded here as a truth table over all 2^v cell types.
+# Work budget
 
 
-def _term_tt(t: Term, var_index: dict[str, int], n_ct: int, full: int) -> int:
+class _Budget:
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 0
+
+    def spend(self, amount: int = 1) -> None:
+        self.used += amount
+        if self.used > self.limit:
+            raise ResourceExhausted(
+                f"work limit of {self.limit} work units exceeded"
+            )
+
+
+# ---------------------------------------------------------------------------
+# Cell types
+
+# A cell type is a bitmask over the formula's variables: the set of
+# variables whose regions contain a depth-0 point.  Only the types that
+# satisfy every positive equation can occur in a model.  They are listed
+# once, in ascending numeric order, and from then on a cell type is an
+# index into that list.  Every term denotes, per depth-0 point, a Boolean
+# function of the point's cell type, encoded as a bitmask over the list.
+
+
+def _var_masks(cts: list[int], var_names: tuple[str, ...]) -> dict[str, int]:
+    """Per variable, the bitmask of the list positions whose cell type
+    contains it."""
+    return {
+        name: int("".join("1" if ct >> i & 1 else "0" for ct in reversed(cts)), 2)
+        for i, name in enumerate(var_names)
+    }
+
+
+def _term_mask(t: Term, var_masks: dict[str, int], full: int) -> int:
     if isinstance(t, Variable):
-        i = var_index[t.name]
-        return sum(1 << ct for ct in range(n_ct) if ct >> i & 1)
+        return var_masks[t.name]
     if isinstance(t, Zero):
         return 0
     if isinstance(t, One):
         return full
     if isinstance(t, Sum):
-        return _term_tt(t.left, var_index, n_ct, full) | _term_tt(
-            t.right, var_index, n_ct, full
-        )
+        return _term_mask(t.left, var_masks, full) | _term_mask(t.right, var_masks, full)
     if isinstance(t, Product):
-        return _term_tt(t.left, var_index, n_ct, full) & _term_tt(
-            t.right, var_index, n_ct, full
-        )
+        return _term_mask(t.left, var_masks, full) & _term_mask(t.right, var_masks, full)
     if isinstance(t, Complement):
-        return full & ~_term_tt(t.arg, var_index, n_ct, full)
+        return full & ~_term_mask(t.arg, var_masks, full)
     raise TypeError(f"not a term: {t!r}")
 
 
-def _trace_of(tt: int, cts: tuple[int, ...]) -> int:
+def _cell_types(
+    equations: list[tuple[Term, Term]], var_names: tuple[str, ...], work: _Budget
+) -> list[int]:
+    """The cell types satisfying every equation ``left = right``, in
+    ascending numeric order.
+
+    Types are built one variable at a time, in the order of
+    ``var_names``.  Once all variables of an equation are assigned, the
+    partial types violating it are dropped, so each level holds at most
+    twice the partial types that survived the level before.  Each
+    partial type built costs one unit of work."""
+    index = {name: i for i, name in enumerate(var_names)}
+    due: list[list[tuple[Term, Term]]] = [[] for _ in range(len(var_names) + 1)]
+    for left, right in equations:
+        names = term_variables(left) | term_variables(right)
+        due[max((index[n] + 1 for n in names), default=0)].append((left, right))
+    cts = [0]
+    for k, eqs in enumerate(due):
+        if k:
+            work.spend(2 * len(cts))
+            # appending the types with the new, highest bit keeps the
+            # list in ascending order
+            cts += [ct | 1 << (k - 1) for ct in cts]
+        if eqs:
+            full = (1 << len(cts)) - 1
+            masks = _var_masks(cts, var_names[:k])
+            keep = full
+            for left, right in eqs:
+                keep &= ~(_term_mask(left, masks, full) ^ _term_mask(right, masks, full))
+            cts = [ct for j, ct in enumerate(cts) if keep >> j & 1]
+            if not cts:
+                break
+    return cts
+
+
+def _trace_of(tt: int, idx: tuple[int, ...]) -> int:
+    """The depth-0 points, given by their cell-type indices, at which the
+    term with mask ``tt`` holds."""
     mask = 0
-    for j, ct in enumerate(cts):
+    for j, ct in enumerate(idx):
         if tt >> ct & 1:
             mask |= 1 << j
     return mask
@@ -240,19 +319,6 @@ class _CoverConstraint:
 
 
 _PosConstraint = Union[_ConnConstraint, _CoverConstraint]
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self, amount: int = 1) -> None:
-        self.used += amount
-        if self.used > self.limit:
-            raise ResourceExhausted(
-                f"work limit of {self.limit} candidates exceeded"
-            )
 
 
 def _base_masks(n0: int, cls: FrameClass) -> list[int]:
@@ -337,6 +403,20 @@ def _bipartitions(trace: int) -> Iterator[tuple[int, int]]:
         sub = (sub - 1) & rest
 
 
+def _crossing_mask(
+    allowed: list[int], neg: _ConnConstraint, part_a: int, part_b: int
+) -> int:
+    """The positions in ``allowed`` of the links joining the two parts
+    of a bipartition of ``neg``'s trace."""
+    mask = 0
+    for i, m in enumerate(allowed):
+        if neg.subset_only and m & ~neg.trace:
+            continue
+        if m & part_a and m & part_b:
+            mask |= 1 << i
+    return mask
+
+
 def _minimal_family(
     allowed: list[int],
     positives: list[_PosConstraint],
@@ -351,32 +431,25 @@ def _minimal_family(
     bipartition of that trace has no crossing link in the family, so the
     negatives are eliminated by branching over one bipartition witness
     per negative and filtering the crossing masks out of ``allowed``.
+    Each branch costs one unit of work.
     """
     if budget_k < 0:
         return None
-
-    def crossing(neg: _ConnConstraint, part_a: int, part_b: int, m: int) -> bool:
-        if neg.subset_only and m & ~neg.trace:
-            return False
-        return bool(m & part_a and m & part_b)
-
+    crossings = [
+        [_crossing_mask(allowed, neg, pa, pb) for pa, pb in _bipartitions(neg.trace)]
+        for neg in negatives
+    ]
     best: Optional[tuple[int, ...]] = None
-    seen_filters: set[frozenset[int]] = set()
-    choice_sets = [list(_bipartitions(n.trace)) for n in negatives]
-    for choice in product(*choice_sets) if choice_sets else [()]:
+    seen_filters: set[int] = set()
+    for choice in product(*crossings):
         work.spend()
-        filtered = [
-            m
-            for m in allowed
-            if not any(
-                crossing(neg, pa, pb, m)
-                for neg, (pa, pb) in zip(negatives, choice)
-            )
-        ]
-        key = frozenset(filtered)
-        if key in seen_filters:
+        removed = 0
+        for mask in choice:
+            removed |= mask
+        if removed in seen_filters:
             continue
-        seen_filters.add(key)
+        seen_filters.add(removed)
+        filtered = [m for i, m in enumerate(allowed) if not removed >> i & 1]
         if any(not c.satisfied(filtered) for c in positives):
             continue
         budget = budget_k if best is None else len(best)
@@ -413,26 +486,29 @@ def _solve_conjunction(
     bounds: Bounds,
     work: _Budget,
 ) -> Optional[QsModel]:
-    v = len(var_names)
-    n_ct = 1 << v
-    ct_full = (1 << n_ct) - 1
-    var_index = {name: i for i, name in enumerate(var_names)}
+    equations = [
+        (lit.atom.left, lit.atom.right)
+        for lit in literals
+        if lit.positive and isinstance(lit.atom, Eq)
+    ]
+    allowed_cts = _cell_types(equations, var_names, work)
+    if not allowed_cts:
+        # every point violates some equation: no model at any bounds
+        return None
+    ct_full = (1 << len(allowed_cts)) - 1
+    var_masks = _var_masks(allowed_cts, var_names)
 
     def tt(t: Term) -> int:
-        return _term_tt(t, var_index, n_ct, ct_full)
+        return _term_mask(t, var_masks, ct_full)
 
-    allowed_ct_mask = ct_full
     neq_diffs: list[int] = []
     contact_lits: list[tuple[bool, int, int]] = []
     conn_lits: list[tuple[bool, bool, int]] = []  # (positive, interior, tt)
     for lit in literals:
         a = lit.atom
         if isinstance(a, Eq):
-            diff = tt(a.left) ^ tt(a.right)
-            if lit.positive:
-                allowed_ct_mask &= ct_full & ~diff
-            else:
-                neq_diffs.append(diff)
+            if not lit.positive:
+                neq_diffs.append(tt(a.left) ^ tt(a.right))
         elif isinstance(a, Contact):
             contact_lits.append((lit.positive, tt(a.left), tt(a.right)))
         elif isinstance(a, Conn):
@@ -442,26 +518,37 @@ def _solve_conjunction(
         else:
             raise TypeError(f"not an atom: {a!r}")
 
-    allowed_cts = [ct for ct in range(n_ct) if allowed_ct_mask >> ct & 1]
-    if not allowed_cts or any(d == 0 for d in neq_diffs):
-        # every point violates some equation, or some disequation can
-        # never be witnessed: no model at any bounds
+    if any(d == 0 for d in neq_diffs):
+        # some disequation can never be witnessed: no model at any bounds
         return None
+    # per cell type, the bitmask of the disequations a point of that type
+    # witnesses; a tuple of types satisfies them all when the union of
+    # its masks is full
+    witnessed = [
+        sum(1 << k for k, d in enumerate(neq_diffs) if d >> j & 1)
+        for j in range(len(allowed_cts))
+    ]
+    all_neq = (1 << len(neq_diffs)) - 1
 
     for n0 in range(1, bounds.max_w0 + 1):
         full_trace = (1 << n0) - 1
         base = _base_masks(n0, cls)
         best: Optional[tuple[int, tuple[int, ...], tuple[int, ...]]] = None
-        for cts in combinations_with_replacement(allowed_cts, n0):
+        # indices into the ascending list enumerate the cell-type tuples
+        # in the same order as the types themselves
+        for idx in combinations_with_replacement(range(len(allowed_cts)), n0):
             work.spend()
-            if any(all(not (d >> ct & 1) for ct in cts) for d in neq_diffs):
+            seen = 0
+            for j in idx:
+                seen |= witnessed[j]
+            if seen != all_neq:
                 continue
 
             dead = False
             pos_contact: list[tuple[int, int]] = []
             neg_contact: list[tuple[int, int]] = []
             for positive, t1_tt, t2_tt in contact_lits:
-                t1, t2 = _trace_of(t1_tt, cts), _trace_of(t2_tt, cts)
+                t1, t2 = _trace_of(t1_tt, idx), _trace_of(t2_tt, idx)
                 if positive:
                     if t1 & t2:
                         continue  # traces already meet
@@ -480,7 +567,7 @@ def _solve_conjunction(
             pos_conn: list[tuple[bool, int]] = []
             neg_conn: list[tuple[bool, int]] = []
             for positive, interior, a_tt in conn_lits:
-                t = _trace_of(a_tt, cts)
+                t = _trace_of(a_tt, idx)
                 if t.bit_count() <= 1:
                     if not positive:
                         dead = True
@@ -533,11 +620,12 @@ def _solve_conjunction(
                 continue
             family = _minimal_family(allowed, positives, negatives, budget_k, work)
             if family is not None and (best is None or len(family) < best[0]):
-                best = (len(family), cts, family)
+                best = (len(family), idx, family)
                 if best[0] == 0:
                     break
         if best is not None:
-            return _build_model(var_names, n0, best[1], best[2])
+            cts = tuple(allowed_cts[j] for j in best[1])
+            return _build_model(var_names, n0, cts, best[2])
     return None
 
 

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from topoconn.cli import main
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -167,3 +171,48 @@ def test_resource_limit_exit(capsys):
     )
     assert code == 3
     assert "limit" in err
+
+
+def test_gen_pcp_too_deep_is_a_usage_error(capsys, tmp_path):
+    # 7 tiles over 2 letters: a conjunction deeper than the interpreter's
+    # recursion limit
+    tiles = [f"g{i}" for i in range(1, 8)]
+    words = ["u", "v", "uv", "vu", "uu", "vv", "u"]
+    instance = tmp_path / "pcp7.json"
+    instance.write_text(
+        json.dumps(
+            {
+                "tiles": tiles,
+                "letters": ["u", "v"],
+                "w1": dict(zip(tiles, words)),
+                "w2": dict(zip(tiles, reversed(words))),
+            }
+        )
+    )
+    code, out, err = run(capsys, "gen", "pcp", "--instance", str(instance))
+    assert code == 2
+    assert out == ""
+    assert err == "error: formula nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "gen_args",
+    [("phi-inf-star",), ("pcp", "--instance", str(DATA / "pcp_small.json"))],
+    ids=["phi-inf-star", "pcp_small"],
+)
+def test_work_limit_is_honoured_on_many_variables(capsys, tmp_path, gen_args):
+    code, out, _ = run(capsys, "gen", *gen_args)
+    assert code == 0
+    formula = tmp_path / "f.fml"
+    formula.write_text(out)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "topoconn.cli", "solve", "--work-limit", "1000",
+         str(formula)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "work units" in proc.stderr

@@ -1,8 +1,11 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from topoconn.constructions import eq1vs2, eq2vs3, wiggly
+from topoconn.constructions import eq1vs2, eq2vs3, k5m, partition, wiggly
 from topoconn.parser import parse
 from topoconn.quasisaw import FrameClass, check, classify_frame, model_to_json
 from topoconn.solver import (
@@ -10,17 +13,30 @@ from topoconn.solver import (
     ResourceExhausted,
     Sat,
     UnsatUpTo,
+    _Budget,
+    _cell_types,
     enumerate_models,
     solve,
     solve_rc3,
     solve_rcp3,
     verify,
 )
-from topoconn.syntax import to_source
+from topoconn.syntax import (
+    ONE,
+    ZERO,
+    Complement,
+    Product,
+    Sum,
+    Term,
+    Variable,
+    term_variables,
+    to_source,
+)
 
 from conftest import random_formula
 
 WIGGLY = wiggly()
+GOLDEN = Path(__file__).resolve().parent / "data" / "solver_golden.json"
 
 
 def test_bounds_validation():
@@ -161,3 +177,81 @@ def test_determinism():
             assert model_to_json(first.model) == model_to_json(second.model)
         else:
             assert first == second
+
+
+def test_certificates_match_golden():
+    """The solver returns the first model in its canonical order; the
+    certificates recorded in tests/data/solver_golden.json must not move."""
+    formulas = {
+        "eq1vs2": eq1vs2(),
+        "wiggly": WIGGLY,
+        "k5m(v1..v5)": k5m([f"v{i}" for i in range(1, 6)]),
+        "partition(m0..m3)": partition([f"m{i}" for i in range(4)]),
+    }
+    got = {}
+    for name, f in formulas.items():
+        got[name] = {}
+        for cls in FrameClass:
+            result = solve(f, cls, Bounds(4, 6))
+            got[name][cls.value] = (
+                model_to_json(result.model) if isinstance(result, Sat) else "unsat-up-to"
+            )
+    assert json.loads(json.dumps(got)) == json.loads(GOLDEN.read_text())
+
+
+NAMES = ("a", "b", "c", "d", "e")
+
+terms = st.recursive(
+    st.sampled_from([Variable(n) for n in NAMES] + [ZERO, ONE]),
+    lambda sub: st.one_of(
+        st.builds(Sum, sub, sub),
+        st.builds(Product, sub, sub),
+        st.builds(Complement, sub),
+    ),
+    max_leaves=6,
+)
+
+
+def _holds(t: Term, ct: int, names: tuple[str, ...]) -> bool:
+    if isinstance(t, Variable):
+        return bool(ct >> names.index(t.name) & 1)
+    if isinstance(t, Sum):
+        return _holds(t.left, ct, names) or _holds(t.right, ct, names)
+    if isinstance(t, Product):
+        return _holds(t.left, ct, names) and _holds(t.right, ct, names)
+    if isinstance(t, Complement):
+        return not _holds(t.arg, ct, names)
+    return t == ONE
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.lists(st.tuples(terms, terms), max_size=4))
+def test_cell_types_match_brute_force(v, equations):
+    names = NAMES[:v]
+    equations = [
+        (l, r)
+        for l, r in equations
+        if term_variables(l) | term_variables(r) <= set(names)
+    ]
+    expected = [
+        ct
+        for ct in range(1 << v)
+        if all(_holds(l, ct, names) == _holds(r, ct, names) for l, r in equations)
+    ]
+    assert _cell_types(equations, names, _Budget(10**6)) == expected
+
+
+def test_cell_type_enumeration_is_charged():
+    # 18 pairwise disjoint variables keep 19 cell types, and building
+    # them stays within a small budget
+    names = tuple(f"p{i:02d}" for i in range(18))
+    equations = [
+        (Product(Variable(a), Variable(b)), ZERO)
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+    ]
+    work = _Budget(1000)
+    assert _cell_types(equations, names, work) == [0] + [1 << i for i in range(18)]
+    assert work.used == 2 * sum(range(1, 19))
+    with pytest.raises(ResourceExhausted):
+        _cell_types([], names, _Budget(1000))
