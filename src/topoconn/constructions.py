@@ -492,6 +492,10 @@ def wiggly() -> Formula:
 # Word-problem encoding
 
 
+class PcpError(ValueError):
+    """A word-problem instance that is malformed or inconsistent."""
+
+
 @dataclass(frozen=True)
 class PcpInstance:
     """A pair of morphisms over disjoint tile and letter alphabets; the
@@ -513,30 +517,29 @@ class PcpInstance:
         tiles = tuple(tiles)
         letters = tuple(letters)
         if not tiles or not letters:
-            raise ValueError("tile and letter alphabets must be nonempty")
+            raise PcpError("tile and letter alphabets must be nonempty")
         for name in (*tiles, *letters):
             if not IDENT_RE.match(name):
-                raise ValueError(f"bad alphabet symbol: {name!r}")
+                raise PcpError(f"bad alphabet symbol: {name!r}")
         if set(tiles) & set(letters):
-            raise ValueError("tile and letter alphabets must be disjoint")
+            raise PcpError("tile and letter alphabets must be disjoint")
         if len(set(tiles)) != len(tiles) or len(set(letters)) != len(letters):
-            raise ValueError("alphabets must not repeat symbols")
+            raise PcpError("alphabets must not repeat symbols")
 
         def norm(w: Mapping[str, Union[str, Sequence[str]]], which: str):
             out = []
             for tile in tiles:
                 if tile not in w:
-                    raise ValueError(f"{which} misses tile {tile!r}")
+                    raise PcpError(f"{which} misses tile {tile!r}")
                 word = w[tile]
-                if isinstance(word, str):
-                    symbols = tuple(word)
-                else:
-                    symbols = tuple(word)
+                if not isinstance(word, (str, list, tuple)):
+                    raise PcpError(f"{which}({tile}) must be a word")
+                symbols = tuple(word)
                 if not symbols:
-                    raise ValueError(f"{which}({tile}) must be a nonempty word")
+                    raise PcpError(f"{which}({tile}) must be a nonempty word")
                 for sym in symbols:
                     if sym not in letters:
-                        raise ValueError(
+                        raise PcpError(
                             f"{which}({tile}) uses unknown letter {sym!r}"
                         )
                 out.append((tile, symbols))
@@ -553,15 +556,20 @@ class PcpInstance:
 
 
 def pcp_from_json(data: dict) -> PcpInstance:
-    try:
-        return PcpInstance.make(
-            [str(t) for t in data["tiles"]],
-            [str(u) for u in data["letters"]],
-            data["w1"],
-            data["w2"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"malformed instance file: missing {exc}") from exc
+    if not isinstance(data, dict):
+        raise PcpError("instance file must be a JSON object")
+    for key, kind, what in (
+        ("tiles", list, "an array"),
+        ("letters", list, "an array"),
+        ("w1", dict, "an object"),
+        ("w2", dict, "an object"),
+    ):
+        if not isinstance(data.get(key), kind):
+            raise PcpError(f"malformed instance file: {key!r} must be {what}")
+    for key in ("tiles", "letters"):
+        if not all(isinstance(x, str) for x in data[key]):
+            raise PcpError(f"malformed instance file: {key!r} must hold strings")
+    return PcpInstance.make(data["tiles"], data["letters"], data["w1"], data["w2"])
 
 
 def pcp_to_json(inst: PcpInstance) -> dict:

@@ -77,7 +77,7 @@ class UnboundRegionError(KeyError):
 
 
 def _as_point(xy: Sequence) -> Point:
-    if len(xy) != 2:
+    if not isinstance(xy, (list, tuple)) or len(xy) != 2:
         raise SceneError(f"coordinate pair expected, got {xy!r}")
     return (_as_fraction(xy[0]), _as_fraction(xy[1]))
 
@@ -85,7 +85,7 @@ def _as_point(xy: Sequence) -> Point:
 def _as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, str):
         try:
@@ -1007,15 +1007,22 @@ def scene_to_json(scene: PlaneScene) -> dict:
 def scene_from_json(data: dict) -> PlaneScene:
     if not isinstance(data, dict) or "regions" not in data:
         raise SceneError("scene file must be a JSON object with a 'regions' key")
+    if not isinstance(data["regions"], dict):
+        raise SceneError("'regions' must be an object mapping names to polygon lists")
     regions: dict[str, list[Polygon]] = {}
     for name, polys in data["regions"].items():
+        if not isinstance(polys, list):
+            raise SceneError(f"region {name}: a list of polygons expected")
         out = []
         for p in polys:
-            if "outer" not in p:
+            if not isinstance(p, dict) or "outer" not in p:
                 raise SceneError(f"region {name}: polygon without 'outer' ring")
-            outer = ring_from(p["outer"])
-            holes = tuple(ring_from(h) for h in p.get("holes", []))
-            out.append(Polygon(outer, holes))
+            holes = p.get("holes", [])
+            if not isinstance(holes, list) or not all(
+                isinstance(r, list) for r in (p["outer"], *holes)
+            ):
+                raise SceneError(f"region {name}: rings and 'holes' must be lists")
+            out.append(Polygon(ring_from(p["outer"]), tuple(ring_from(h) for h in holes)))
         regions[name] = out
     return PlaneScene.make(regions)
 

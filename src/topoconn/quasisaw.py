@@ -7,6 +7,20 @@ a regular closed set is determined by its depth-0 trace: a depth-1 point
 belongs to it exactly when one of its successors does.  All Boolean
 operations therefore reduce to set operations on traces.
 
+Each frame is compiled into bitmasks over W0 when it is built: depth-0
+point j is bit j, every depth-1 point becomes the mask of its successors
+(a *link*), and a trace is the mask of its points.  A set is connected
+exactly when its trace is connected under the links that meet it, each
+of which joins its members inside the trace (a depth-1 point of the set
+touches the trace and so never forms a component of its own); the
+interior is connected exactly when the trace is connected under the
+links lying wholly inside it.  One routine, :func:`mask_components`,
+answers every such question, for ``check``, ``classify_frame``,
+``components`` and the solver alike.  One evaluator, :func:`term_mask`,
+gives every term as a trace mask, and :func:`holds` evaluates formulas
+on masks; ``check`` is ``holds`` on a model's masks, and the solver
+calls it on candidates it never turns into models.
+
 Two evaluators are provided: :func:`check` uses the trace-level
 characterizations of the predicates, while :func:`oracle_check`
 recomputes everything from the literal topology (closure and interior as
@@ -17,7 +31,7 @@ and serves as an independent cross-check.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
@@ -77,7 +91,12 @@ class FrameClass(enum.Enum):
 
 @dataclass(frozen=True)
 class QuasiSaw:
-    """Ordered depth-0 ids plus (id, successor set) pairs for depth 1."""
+    """Ordered depth-0 ids plus (id, successor set) pairs for depth 1.
+
+    The frame is compiled on construction: ``bits`` maps each depth-0 id
+    to its bit (in the order of ``w0``), ``links`` holds each depth-1
+    point's successor set as a mask over w0, and ``full`` is the mask of
+    all of w0."""
 
     w0: tuple[str, ...]
     w1: tuple[tuple[str, frozenset[str]], ...]
@@ -86,15 +105,22 @@ class QuasiSaw:
         ids = list(self.w0) + [z for z, _ in self.w1]
         if len(set(ids)) != len(ids):
             raise FrameError("duplicate point ids")
-        w0set = set(self.w0)
+        bits = {x: 1 << j for j, x in enumerate(self.w0)}
+        links = []
         for z, succ in self.w1:
             if not succ:
                 raise FrameError(f"depth-1 point {z} has no successors")
-            unknown = succ - w0set
+            unknown = [x for x in succ if x not in bits]
             if unknown:
                 raise FrameError(
                     f"depth-1 point {z} has unknown successors: {sorted(unknown)}"
                 )
+            links.append(sum(bits[x] for x in succ))
+        # plain attributes, not cached properties: every evaluation reads
+        # them, and a cached property takes a lock on its first read
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "links", tuple(links))
+        object.__setattr__(self, "full", (1 << len(self.w0)) - 1)
 
     @cached_property
     def successors(self) -> dict[str, frozenset[str]]:
@@ -104,24 +130,9 @@ class QuasiSaw:
     def points(self) -> frozenset[str]:
         return frozenset(self.w0) | frozenset(self.successors)
 
-    def is_graph_connected(self) -> bool:
-        """Connectivity of the incidence graph on w0 and w1."""
-        nodes = list(self.w0) + [z for z, _ in self.w1]
-        if not nodes:
-            return True
-        adj: dict[str, set[str]] = {n: set() for n in nodes}
-        for z, succ in self.w1:
-            for x in succ:
-                adj[z].add(x)
-                adj[x].add(z)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            for m in adj[stack.pop()]:
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        return len(seen) == len(nodes)
+    def mask(self, ids: Iterable[str]) -> int:
+        bits = self.bits
+        return sum(bits[x] for x in ids)
 
 
 def make_frame(w0: Iterable[str], w1: Iterable[tuple[str, Iterable[str]]]) -> QuasiSaw:
@@ -171,30 +182,41 @@ def rc_complement(a: RcSet) -> RcSet:
     return RcSet(a.frame, frozenset(a.frame.w0) - a.trace)
 
 
-def _connected(points: set[str], frame: QuasiSaw) -> bool:
-    """Connectivity of the incidence graph restricted to ``points``."""
-    if not points:
-        return True
-    adj: dict[str, set[str]] = {p: set() for p in points}
-    for z, succ in frame.w1:
-        if z in points:
-            for x in succ & points:
-                adj[z].add(x)
-                adj[x].add(z)
-    start = next(iter(points))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for m in adj[stack.pop()]:
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
-    return len(seen) == len(points)
+def mask_components(
+    points: int, links: Iterable[int], interior: bool = False
+) -> list[int]:
+    """The connected components of the depth-0 points in ``points``,
+    ascending by lowest bit, where each link joins its members inside
+    ``points``; with ``interior`` a link counts only if it lies wholly
+    inside ``points``."""
+    if interior:
+        joins = [l for l in links if not l & ~points]
+    else:
+        joins = [l & points for l in links]
+    joins = [l for l in joins if l & (l - 1)]
+    out = []
+    while points:
+        comp = points & -points
+        grew = True
+        while grew:
+            grew = False
+            rest = []
+            for l in joins:
+                if not l & comp:
+                    rest.append(l)
+                elif l & ~comp:
+                    comp |= l
+                    grew = True
+            joins = rest
+        out.append(comp)
+        points &= ~comp
+    return out
 
 
 def is_connected(s: RcSet) -> bool:
     """Connectedness of the set; the empty set counts as connected."""
-    return _connected(set(full_points(s)), s.frame)
+    frame = s.frame
+    return len(mask_components(frame.mask(s.trace), frame.links)) <= 1
 
 
 def interior_points(s: RcSet) -> frozenset[str]:
@@ -205,46 +227,39 @@ def interior_points(s: RcSet) -> frozenset[str]:
 
 
 def is_interior_connected(s: RcSet) -> bool:
-    return _connected(set(interior_points(s)), s.frame)
+    frame = s.frame
+    return len(mask_components(frame.mask(s.trace), frame.links, True)) <= 1
+
+
+def _touch(a: int, b: int, links: Iterable[int]) -> bool:
+    """Contact of the sets with traces ``a`` and ``b``."""
+    return bool(a & b) or any(l & a and l & b for l in links)
 
 
 def contact(a: RcSet, b: RcSet) -> bool:
     _require_same_frame(a, b)
-    if a.trace & b.trace:
-        return True
-    return any(succ & a.trace and succ & b.trace for _, succ in a.frame.w1)
+    frame = a.frame
+    return _touch(frame.mask(a.trace), frame.mask(b.trace), frame.links)
 
 
 def components(s: RcSet) -> list[frozenset[str]]:
     """Connected components of the set's full point set, as point sets,
     ordered by their smallest member."""
-    points = set(full_points(s))
-    adj: dict[str, set[str]] = {p: set() for p in points}
-    for z, succ in s.frame.w1:
-        if z in points:
-            for x in succ & points:
-                adj[z].add(x)
-                adj[x].add(z)
-    out: list[frozenset[str]] = []
-    remaining = set(points)
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        stack = [start]
-        while stack:
-            for m in adj[stack.pop()]:
-                if m not in comp:
-                    comp.add(m)
-                    stack.append(m)
-        out.append(frozenset(comp))
-        remaining -= comp
-    out.sort(key=lambda c: min(c))
+    frame = s.frame
+    out = []
+    for comp in mask_components(frame.mask(s.trace), frame.links):
+        ids = {x for x in frame.w0 if frame.bits[x] & comp}
+        ids.update(z for (z, _), l in zip(frame.w1, frame.links) if l & comp)
+        out.append(frozenset(ids))
+    out.sort(key=min)
     return out
 
 
 def classify_frame(frame: QuasiSaw) -> frozenset[FrameClass]:
     out = {FrameClass.ALL_QS}
-    if frame.is_graph_connected():
+    # every depth-1 point has a successor, so the frame is connected
+    # exactly when w0 is connected under all links
+    if len(mask_components(frame.full, frame.links)) <= 1:
         out.add(FrameClass.CON_QS)
         if all(len(succ) == 2 for _, succ in frame.w1):
             out.add(FrameClass.CON_2QS)
@@ -277,54 +292,66 @@ class QsModel:
     def traces(self) -> dict[str, frozenset[str]]:
         return dict(self.valuation)
 
+    @cached_property
+    def masks(self) -> dict[str, int]:
+        return {name: self.frame.mask(trace) for name, trace in self.valuation}
+
     def region(self, name: str) -> RcSet:
         if name not in self.traces:
             raise UnboundVariableError(name)
         return RcSet(self.frame, self.traces[name])
 
 
-def _eval_trace(t: Term, model: QsModel) -> frozenset[str]:
+def term_mask(t: Term, masks: Mapping[str, int], full: int) -> int:
+    """The trace of ``t`` as a mask, given each variable's trace mask
+    and the mask ``full`` of all depth-0 points."""
     if isinstance(t, Variable):
-        if t.name not in model.traces:
+        if t.name not in masks:
             raise UnboundVariableError(t.name)
-        return model.traces[t.name]
+        return masks[t.name]
     if isinstance(t, Zero):
-        return frozenset()
+        return 0
     if isinstance(t, One):
-        return frozenset(model.frame.w0)
+        return full
     if isinstance(t, Sum):
-        return _eval_trace(t.left, model) | _eval_trace(t.right, model)
+        return term_mask(t.left, masks, full) | term_mask(t.right, masks, full)
     if isinstance(t, Product):
-        return _eval_trace(t.left, model) & _eval_trace(t.right, model)
+        return term_mask(t.left, masks, full) & term_mask(t.right, masks, full)
     if isinstance(t, Complement):
-        return frozenset(model.frame.w0) - _eval_trace(t.arg, model)
+        return full & ~term_mask(t.arg, masks, full)
     raise TypeError(f"not a term: {t!r}")
+
+
+def holds(
+    f: Formula, masks: Mapping[str, int], links: tuple[int, ...], full: int
+) -> bool:
+    """Evaluate ``f`` on a frame given by its ``links`` and ``full`` mask,
+    with variable traces ``masks``."""
+    if isinstance(f, AtomF):
+        a = f.atom
+        if isinstance(a, Eq):
+            return term_mask(a.left, masks, full) == term_mask(a.right, masks, full)
+        if isinstance(a, Contact):
+            return _touch(
+                term_mask(a.left, masks, full), term_mask(a.right, masks, full), links
+            )
+        if isinstance(a, (Conn, IntConn)):
+            trace = term_mask(a.arg, masks, full)
+            return len(mask_components(trace, links, isinstance(a, IntConn))) <= 1
+        raise TypeError(f"not an atom: {a!r}")
+    if isinstance(f, And):
+        return holds(f.left, masks, links, full) and holds(f.right, masks, links, full)
+    if isinstance(f, Or):
+        return holds(f.left, masks, links, full) or holds(f.right, masks, links, full)
+    if isinstance(f, Not):
+        return not holds(f.arg, masks, links, full)
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def check(model: QsModel, f: Formula) -> bool:
     """Evaluate ``f`` in ``model`` via the trace-level semantics."""
-    if isinstance(f, AtomF):
-        a = f.atom
-        if isinstance(a, Eq):
-            return _eval_trace(a.left, model) == _eval_trace(a.right, model)
-        frame = model.frame
-        if isinstance(a, Contact):
-            return contact(
-                RcSet(frame, _eval_trace(a.left, model)),
-                RcSet(frame, _eval_trace(a.right, model)),
-            )
-        if isinstance(a, Conn):
-            return is_connected(RcSet(frame, _eval_trace(a.arg, model)))
-        if isinstance(a, IntConn):
-            return is_interior_connected(RcSet(frame, _eval_trace(a.arg, model)))
-        raise TypeError(f"not an atom: {a!r}")
-    if isinstance(f, And):
-        return check(model, f.left) and check(model, f.right)
-    if isinstance(f, Or):
-        return check(model, f.left) or check(model, f.right)
-    if isinstance(f, Not):
-        return not check(model, f.arg)
-    raise TypeError(f"not a formula: {f!r}")
+    frame = model.frame
+    return holds(f, model.masks, frame.links, frame.full)
 
 
 # ---------------------------------------------------------------------------
@@ -450,17 +477,32 @@ def model_to_json(model: QsModel) -> dict:
     }
 
 
+def _json_ids(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise FrameError(f"malformed model file: {what} must be a list of ids")
+    return value
+
+
 def model_from_json(data: dict) -> QsModel:
     if not isinstance(data, dict):
         raise FrameError("model file must be a JSON object")
-    try:
-        w0 = [str(x) for x in data["w0"]]
-        w1 = [(str(e["id"]), frozenset(str(s) for s in e["succ"])) for e in data["w1"]]
-        valuation = {
-            str(name): [str(x) for x in trace]
-            for name, trace in data.get("valuation", {}).items()
-        }
-    except (KeyError, TypeError) as exc:
-        raise FrameError(f"malformed model file: {exc}") from exc
-    frame = make_frame(w0, w1)
-    return QsModel.make(frame, valuation)
+    for key in ("w0", "w1"):
+        if key not in data:
+            raise FrameError(f"malformed model file: missing {key!r}")
+    w0 = _json_ids(data["w0"], "w0")
+    entries = data["w1"]
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("id"), str) and "succ" in e
+        for e in entries
+    ):
+        raise FrameError(
+            "malformed model file: w1 must be a list of objects with 'id' and 'succ'"
+        )
+    w1 = [(e["id"], _json_ids(e["succ"], f"succ of {e['id']}")) for e in entries]
+    valuation = data.get("valuation", {})
+    if not isinstance(valuation, dict):
+        raise FrameError("malformed model file: valuation must be an object")
+    valuation = {
+        name: _json_ids(trace, f"trace of {name}") for name, trace in valuation.items()
+    }
+    return QsModel.make(make_frame(w0, w1), valuation)

@@ -20,7 +20,11 @@ regions more connected and more in contact, never less.  Equality atoms
 are decided pointwise by cell types, negative contact literals forbid
 individual successor sets, and the remaining positive literals are
 satisfied by a minimal successor-set family found with iterative
-deepening.  Arbitrary formulas fall back to direct enumeration.
+deepening.  Arbitrary formulas fall back to direct enumeration, which
+evaluates each candidate on bitmasks (the variables' traces are built
+once per cell-type tuple, the successor sets are the links) with the
+shared evaluator of :mod:`quasisaw` and builds a model only for the
+first candidate that satisfies the formula.
 
 The fast path never builds all 2^v cell types of v variables.  It
 enumerates the cell types allowed by the positive equations one variable
@@ -49,17 +53,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from math import ceil
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .quasisaw import (
     DEFAULT_ORACLE_CAP,
     FrameClass,
     QsModel,
-    QuasiSaw,
     check,
     classify_frame,
+    holds,
     make_frame,
+    mask_components,
     oracle_check,
+    term_mask,
 )
 from .syntax import (
     And,
@@ -73,13 +79,7 @@ from .syntax import (
     LanguageId,
     Not,
     Or,
-    Complement,
-    One,
-    Product,
-    Sum,
     Term,
-    Variable,
-    Zero,
     language_leq,
     language_of,
     term_variables,
@@ -184,29 +184,13 @@ class _Budget:
 # function of the point's cell type, encoded as a bitmask over the list.
 
 
-def _var_masks(cts: list[int], var_names: tuple[str, ...]) -> dict[str, int]:
-    """Per variable, the bitmask of the list positions whose cell type
-    contains it."""
+def _var_masks(cts: Sequence[int], var_names: tuple[str, ...]) -> dict[str, int]:
+    """Per variable, the bitmask of the positions in ``cts`` whose cell
+    type contains it."""
     return {
         name: int("".join("1" if ct >> i & 1 else "0" for ct in reversed(cts)), 2)
         for i, name in enumerate(var_names)
     }
-
-
-def _term_mask(t: Term, var_masks: dict[str, int], full: int) -> int:
-    if isinstance(t, Variable):
-        return var_masks[t.name]
-    if isinstance(t, Zero):
-        return 0
-    if isinstance(t, One):
-        return full
-    if isinstance(t, Sum):
-        return _term_mask(t.left, var_masks, full) | _term_mask(t.right, var_masks, full)
-    if isinstance(t, Product):
-        return _term_mask(t.left, var_masks, full) & _term_mask(t.right, var_masks, full)
-    if isinstance(t, Complement):
-        return full & ~_term_mask(t.arg, var_masks, full)
-    raise TypeError(f"not a term: {t!r}")
 
 
 def _cell_types(
@@ -237,7 +221,7 @@ def _cell_types(
             masks = _var_masks(cts, var_names[:k])
             keep = full
             for left, right in eqs:
-                keep &= ~(_term_mask(left, masks, full) ^ _term_mask(right, masks, full))
+                keep &= ~(term_mask(left, masks, full) ^ term_mask(right, masks, full))
             cts = [ct for j, ct in enumerate(cts) if keep >> j & 1]
             if not cts:
                 break
@@ -255,33 +239,6 @@ def _trace_of(tt: int, idx: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Connectivity over bitmask families
-
-
-def _comp_count(trace: int, links: list[int]) -> int:
-    """Number of connected components of the trace points under the
-    hyperedges ``links`` (each link merges its members within trace)."""
-    if trace == 0:
-        return 0
-    relevant = [l & trace for l in links]
-    relevant = [l for l in relevant if l.bit_count() >= 2]
-    remaining = trace
-    n = 0
-    while remaining:
-        comp = remaining & -remaining
-        changed = True
-        while changed:
-            changed = False
-            for l in relevant:
-                if l & comp and l & ~comp:
-                    comp |= l
-                    changed = True
-        n += 1
-        remaining &= ~comp
-    return n
-
-
-# ---------------------------------------------------------------------------
 # Fast path for conjunctions of literals
 
 
@@ -292,16 +249,11 @@ class _ConnConstraint:
     cand: frozenset[int]
     max_merge: int
 
-    def links(self, family: list[int]) -> list[int]:
-        if self.subset_only:
-            return [m for m in family if not m & ~self.trace]
-        return family
-
     def satisfied(self, family: list[int]) -> bool:
-        return _comp_count(self.trace, self.links(family)) <= 1
+        return len(mask_components(self.trace, family, self.subset_only)) <= 1
 
     def need(self, family: list[int]) -> int:
-        comps = _comp_count(self.trace, self.links(family))
+        comps = len(mask_components(self.trace, family, self.subset_only))
         if comps <= 1:
             return 0
         return ceil((comps - 1) / self.max_merge)
@@ -499,7 +451,7 @@ def _solve_conjunction(
     var_masks = _var_masks(allowed_cts, var_names)
 
     def tt(t: Term) -> int:
-        return _term_mask(t, var_masks, ct_full)
+        return term_mask(t, var_masks, ct_full)
 
     neq_diffs: list[int] = []
     contact_lits: list[tuple[bool, int, int]] = []
@@ -640,19 +592,21 @@ def _solve_fallback(
     bounds: Bounds,
     work: _Budget,
 ) -> Optional[QsModel]:
-    v = len(var_names)
-    n_ct = 1 << v
+    n_ct = 1 << len(var_names)
+    # the base masks already give every link two successors for con2
+    connected_only = cls is not FrameClass.ALL_QS
     for n0 in range(1, bounds.max_w0 + 1):
+        full = (1 << n0) - 1
         base = _base_masks(n0, cls)
         for n1 in range(0, bounds.max_w1 + 1):
             for cts in combinations_with_replacement(range(n_ct), n0):
+                masks = _var_masks(cts, var_names)
                 for family in combinations(base, n1):
                     work.spend()
-                    model = _build_model(var_names, n0, cts, family)
-                    if cls not in classify_frame(model.frame):
+                    if connected_only and len(mask_components(full, family)) > 1:
                         continue
-                    if check(model, f):
-                        return model
+                    if holds(f, masks, family, full):
+                        return _build_model(var_names, n0, cts, family)
     return None
 
 

@@ -216,3 +216,41 @@ def test_work_limit_is_honoured_on_many_variables(capsys, tmp_path, gen_args):
     )
     assert proc.returncode == 3, proc.stderr
     assert "work units" in proc.stderr
+
+
+_MODEL = {"w0": ["x"], "w1": [], "valuation": {"a": ["x"]}}
+_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+_PCP = json.loads((DATA / "pcp_small.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("eval", "--model", {**_MODEL, "valuation": []}),
+        ("eval", "--model", {**_MODEL, "w0": "xy"}),
+        ("eval", "--model", {**_MODEL, "w1": [{"id": "z", "succ": "x"}]}),
+        ("eval", "--scene", {"regions": []}),
+        ("eval", "--scene", {"regions": {"a": {"outer": _SQUARE}}}),
+        ("eval", "--scene", {"regions": {"a": [{"outer": _SQUARE, "holes": 5}]}}),
+        ("eval", "--scene", {"regions": {"a": [{"outer": [[0, 0], [True, 0], [1, 1], [0, 1]]}]}}),
+        ("gen", "pcp", "--instance", []),
+        ("gen", "pcp", "--instance", {**_PCP, "w1": {"g": 5, "h": "v"}}),
+        ("gen", "pcp", "--instance", {**_PCP, "tiles": "gh"}),
+    ],
+    ids=[
+        "valuation-list", "w0-string", "succ-string", "regions-list",
+        "polygon-object", "holes-int", "coordinate-bool", "pcp-list",
+        "pcp-word-int", "pcp-tiles-string",
+    ],
+)
+def test_malformed_json_inputs_are_usage_errors(capsys, tmp_path, args):
+    *argv, data = args
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    formula = tmp_path / "f.fml"
+    formula.write_text("c(a)")
+    argv = [*argv, str(path)] + ([str(formula)] if argv[0] == "eval" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

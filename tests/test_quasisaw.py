@@ -10,6 +10,7 @@ from topoconn.quasisaw import (
     QsModel,
     RcSet,
     UnboundVariableError,
+    _oracle_connected,
     check,
     classify_frame,
     components,
@@ -211,9 +212,13 @@ def test_components_partition_and_depth1_boundaries():
         comps = components(s)
         pts = full_points(s)
         assert frozenset().union(*comps) == pts if comps else not pts
+        assert comps == sorted(comps, key=min)
         for i in range(len(comps)):
+            assert _oracle_connected(comps[i], frame)
             for j in range(i + 1, len(comps)):
                 assert not (comps[i] & comps[j])
+                # no two components are connected together
+                assert not _oracle_connected(comps[i] | comps[j], frame)
 
 
 def test_check_agrees_with_oracle_small():

@@ -15,6 +15,7 @@ from topoconn.solver import (
     UnsatUpTo,
     _Budget,
     _cell_types,
+    as_literal_conjunction,
     enumerate_models,
     solve,
     solve_rc3,
@@ -182,6 +183,7 @@ def test_determinism():
 def test_certificates_match_golden():
     """The solver returns the first model in its canonical order; the
     certificates recorded in tests/data/solver_golden.json must not move."""
+    golden = json.loads(GOLDEN.read_text())["conjunctions at (4,6)"]
     formulas = {
         "eq1vs2": eq1vs2(),
         "wiggly": WIGGLY,
@@ -196,7 +198,27 @@ def test_certificates_match_golden():
             got[name][cls.value] = (
                 model_to_json(result.model) if isinstance(result, Sat) else "unsat-up-to"
             )
-    assert json.loads(json.dumps(got)) == json.loads(GOLDEN.read_text())
+    assert json.loads(json.dumps(got)) == golden
+
+
+def test_fallback_certificates_match_golden():
+    """Formulas that are not literal conjunctions take the enumeration
+    path; its certificates and the work spent on a refutation are pinned
+    at (3,3) in every class."""
+    golden = json.loads(GOLDEN.read_text())["other formulas at (3,3)"]
+    got = {}
+    for source in golden:
+        f = parse(source)
+        assert as_literal_conjunction(f) is None, source
+        got[source] = {}
+        for cls in FrameClass:
+            result = solve(f, cls, Bounds(3, 3))
+            got[source][cls.value] = (
+                model_to_json(result.model)
+                if isinstance(result, Sat)
+                else {"unsat-up-to": result.frames_examined}
+            )
+    assert got == golden
 
 
 NAMES = ("a", "b", "c", "d", "e")
