@@ -3,8 +3,9 @@
 SVG, then verify the gadget constraints hold in the plane semantics."""
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from topoconn.constructions import k5m, k5m_separator
 from topoconn.parser import parse

@@ -7,8 +7,9 @@ it up to the default bounds."""
 import json
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from topoconn.constructions import eq1vs2, eq2vs3, wiggly
 from topoconn.quasisaw import model_to_json

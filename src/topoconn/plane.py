@@ -5,17 +5,26 @@ A scene assigns each region variable a finite union of simple polygons
 overlaid exactly into a planar arrangement; the open 2-cells of that
 subdivision, plus the unbounded cell, are the atoms of a finite Boolean
 algebra of regular closed sets: a face set denotes the closure of the
-union of its faces.
+union of its faces.  A face set is stored as an integer mask over the
+faces (bit ``f`` for face ``f``), so the Boolean operations are bitwise.
 
-The predicates reduce to face bookkeeping:
+The predicates reduce to face bookkeeping, and one component search
+(``_components``, over per-node neighbour masks) answers every
+connectivity question:
 
 * two faces touch iff their closures share a vertex (sharing an edge
   implies sharing its endpoints), so connectedness of a face set is
-  connectivity of its touch graph;
+  connectivity of its touch graph, and its components are that graph's;
 * an arrangement edge lies in the interior of a face set iff both its
   sides do, and a vertex iff every face around it does, which yields
   interior-connectedness;
-* contact of two face sets is a shared face or a shared boundary vertex.
+* contact of two face sets is a shared face or a shared boundary vertex;
+* a component graph is a tree iff it has one edge fewer than nodes and
+  one component.
+
+This module evaluates terms and connectivity on its own on purpose: it
+is the independent side of the cross-check against the quasi-saw
+semantics of the model induced by an arrangement.
 
 All arithmetic is over ``fractions.Fraction``; nothing is ever rounded,
 so coincident geometry is detected exactly and regularization (dropping
@@ -30,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .quasisaw import QsModel, make_frame
 from .syntax import (
@@ -376,10 +385,11 @@ class Face:
     rep: Optional[Point]  # a point strictly inside; None for the unbounded face
 
 
-@dataclass
+@dataclass(eq=False)
 class Arrangement:
     """Exact planar subdivision induced by a scene, with incidences and
-    the face set of every named region."""
+    the face set of every named region.  Arrangements compare by
+    identity, as face sets do across arrangements."""
 
     scene: PlaneScene
     vertices: list[Point]
@@ -388,9 +398,16 @@ class Arrangement:
     edge_faces: list[frozenset[int]]
     vertex_faces: list[frozenset[int]]
     region_sets: dict[str, "FaceSet"] = field(default_factory=dict)
-    _contact_adj: list[int] = field(default_factory=list)
-    _vertex_face_masks: list[int] = field(default_factory=list)
-    _edge_face_pairs: list[tuple[int, int]] = field(default_factory=list)
+    # faces around each vertex, the two sides of each two-sided edge, and
+    # per face the faces it touches (shares a vertex with), as face masks
+    _vertex_masks: list[int] = field(init=False, repr=False)
+    _edge_masks: list[int] = field(init=False, repr=False)
+    _touch: list[int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._vertex_masks = [_mask(vf) for vf in self.vertex_faces]
+        self._edge_masks = [_mask(ef) for ef in self.edge_faces if len(ef) == 2]
+        self._touch = _adjacency(len(self.faces), self._vertex_masks)
 
     @property
     def unbounded_face(self) -> int:
@@ -400,25 +417,67 @@ class Arrangement:
         return frozenset(range(len(self.faces)))
 
     def face_set(self, faces: Iterable[int]) -> "FaceSet":
-        return FaceSet(self, frozenset(faces))
+        return FaceSet(self, _mask(faces))
 
     def empty_set(self) -> "FaceSet":
-        return FaceSet(self, frozenset())
+        return FaceSet(self, 0)
 
     def full_set(self) -> "FaceSet":
-        return FaceSet(self, self.all_faces())
+        return FaceSet(self, (1 << len(self.faces)) - 1)
 
 
 @dataclass(frozen=True)
 class FaceSet:
-    arr: Arrangement
-    faces: frozenset[int]
+    """A union of faces, as a mask with bit ``f`` set for face ``f``."""
 
-    def mask(self) -> int:
-        m = 0
-        for f in self.faces:
-            m |= 1 << f
-        return m
+    arr: Arrangement
+    mask: int
+
+    @property
+    def faces(self) -> frozenset[int]:
+        return frozenset(_bits(self.mask))
+
+
+def _mask(faces: Iterable[int]) -> int:
+    m = 0
+    for f in faces:
+        m |= 1 << f
+    return m
+
+
+def _bits(m: int) -> Iterator[int]:
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _adjacency(n: int, links: Iterable[int]) -> list[int]:
+    """Neighbour masks of ``n`` nodes where every mask in ``links`` joins
+    all of its nodes."""
+    adj = [0] * n
+    for m in links:
+        for f in _bits(m):
+            adj[f] |= m
+    return adj
+
+
+def _components(points: int, adj: Sequence[int]) -> list[int]:
+    """Connected components of the nodes in the mask ``points``, in the
+    graph where node ``i`` has neighbour mask ``adj[i]``, as masks
+    ascending by lowest bit."""
+    out = []
+    while points:
+        comp = frontier = points & -points
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & points & ~comp
+            comp |= new
+            frontier |= new
+        out.append(comp)
+        points &= ~comp
+    return out
 
 
 def _require_same_arrangement(a: FaceSet, b: FaceSet) -> None:
@@ -428,16 +487,16 @@ def _require_same_arrangement(a: FaceSet, b: FaceSet) -> None:
 
 def fs_sum(a: FaceSet, b: FaceSet) -> FaceSet:
     _require_same_arrangement(a, b)
-    return FaceSet(a.arr, a.faces | b.faces)
+    return FaceSet(a.arr, a.mask | b.mask)
 
 
 def fs_product(a: FaceSet, b: FaceSet) -> FaceSet:
     _require_same_arrangement(a, b)
-    return FaceSet(a.arr, a.faces & b.faces)
+    return FaceSet(a.arr, a.mask & b.mask)
 
 
 def fs_complement(a: FaceSet) -> FaceSet:
-    return FaceSet(a.arr, a.arr.all_faces() - a.faces)
+    return FaceSet(a.arr, a.arr.full_set().mask & ~a.mask)
 
 
 def build_arrangement(scene: PlaneScene) -> Arrangement:
@@ -487,9 +546,6 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
     if not edges:
         # a scene with no geometry has a single unbounded face
         arr = Arrangement(scene, vertices, [], [Face(0, False, None)], [], [])
-        arr._contact_adj = [0]
-        arr._vertex_face_masks = []
-        arr._edge_face_pairs = []
         for name, _ in scene.regions:
             arr.region_sets[name] = arr.empty_set()
         return arr
@@ -626,22 +682,6 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
 
     arr = Arrangement(scene, vertices, list(edges), faces, edge_faces, vertex_faces)
 
-    nfaces = len(faces)
-    contact_adj = [0] * nfaces
-    vertex_face_masks = []
-    for vf in vertex_faces:
-        m = 0
-        for f in vf:
-            m |= 1 << f
-        vertex_face_masks.append(m)
-        for f in vf:
-            contact_adj[f] |= m
-    arr._contact_adj = contact_adj
-    arr._vertex_face_masks = vertex_face_masks
-    arr._edge_face_pairs = [
-        tuple(sorted(ef)) for ef in edge_faces if len(ef) == 2
-    ]
-
     # region membership tested in the scaled space, with a bounding-box
     # prefilter per polygon
     boxed = {
@@ -672,10 +712,9 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
         return False
 
     for name, _ in scene.regions:
-        members = {
+        arr.region_sets[name] = arr.face_set(
             f.index for f in faces if f.bounded and in_region(f.rep, name)
-        }
-        arr.region_sets[name] = arr.face_set(members)
+        )
 
     if scale != 1:
         arr.vertices = [
@@ -692,86 +731,25 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
 
 
 def fs_connected(a: FaceSet) -> bool:
-    faces = a.faces
-    if not faces:
-        return True
-    mask = a.mask()
-    adj = a.arr._contact_adj
-    start = min(faces)
-    seen = 1 << start
-    stack = [start]
-    while stack:
-        f = stack.pop()
-        nbrs = adj[f] & mask & ~seen
-        while nbrs:
-            low = nbrs & -nbrs
-            g = low.bit_length() - 1
-            seen |= low
-            stack.append(g)
-            nbrs &= ~low
-    return seen.bit_count() == len(faces)
+    return len(_components(a.mask, a.arr._touch)) <= 1
 
 
 def fs_interior_connected(a: FaceSet) -> bool:
-    faces = a.faces
-    if not faces:
-        return True
-    mask = a.mask()
-    links: dict[int, set[int]] = {f: set() for f in faces}
-    for f1, f2 in a.arr._edge_face_pairs:
-        if mask >> f1 & 1 and mask >> f2 & 1:
-            links[f1].add(f2)
-            links[f2].add(f1)
-    for vm in a.arr._vertex_face_masks:
-        if vm & ~mask:
-            continue
-        group = [f for f in faces if vm >> f & 1]
-        for f in group[1:]:
-            links[group[0]].add(f)
-            links[f].add(group[0])
-    start = min(faces)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for g in links[stack.pop()]:
-            if g not in seen:
-                seen.add(g)
-                stack.append(g)
-    return len(seen) == len(faces)
+    """Faces are joined through the vertices and two-sided edges that lie
+    wholly inside the set."""
+    arr, outside = a.arr, ~a.mask
+    inner = [m for m in arr._edge_masks + arr._vertex_masks if not m & outside]
+    return len(_components(a.mask, _adjacency(len(arr.faces), inner))) <= 1
 
 
 def fs_contact(a: FaceSet, b: FaceSet) -> bool:
     _require_same_arrangement(a, b)
-    if a.faces & b.faces:
-        return True
-    am, bm = a.mask(), b.mask()
-    return any(vm & am and vm & bm for vm in a.arr._vertex_face_masks)
+    am, bm = a.mask, b.mask
+    return bool(am & bm) or any(vm & am and vm & bm for vm in a.arr._vertex_masks)
 
 
 def fs_components(a: FaceSet) -> list[FaceSet]:
-    remaining = set(a.faces)
-    mask = a.mask()
-    adj = a.arr._contact_adj
-    out = []
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        stack = [start]
-        while stack:
-            f = stack.pop()
-            nbrs = adj[f] & mask
-            while nbrs:
-                low = nbrs & -nbrs
-                g = low.bit_length() - 1
-                nbrs &= ~low
-                if g in comp or g not in remaining:
-                    continue
-                comp.add(g)
-                stack.append(g)
-        out.append(FaceSet(a.arr, frozenset(comp)))
-        remaining -= comp
-    out.sort(key=lambda fs: min(fs.faces))
-    return out
+    return [FaceSet(a.arr, m) for m in _components(a.mask, a.arr._touch)]
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +779,7 @@ def plane_eval(arr: Arrangement, f: Formula) -> bool:
     if isinstance(f, AtomF):
         a = f.atom
         if isinstance(a, Eq):
-            return faceset_of_term(arr, a.left).faces == faceset_of_term(arr, a.right).faces
+            return faceset_of_term(arr, a.left).mask == faceset_of_term(arr, a.right).mask
         if isinstance(a, Contact):
             return fs_contact(faceset_of_term(arr, a.left), faceset_of_term(arr, a.right))
         if isinstance(a, Conn):
@@ -842,9 +820,9 @@ class Rcc8Relation(enum.Enum):
 
 def _rcc8_flags(a: FaceSet, b: FaceSet) -> dict[Rcc8Relation, bool]:
     c_ab = fs_contact(a, b)
-    prod_empty = not (a.faces & b.faces)
-    part_ab = not (a.faces - b.faces)  # a . -b = 0
-    part_ba = not (b.faces - a.faces)
+    prod_empty = not a.mask & b.mask
+    part_ab = not a.mask & ~b.mask  # a . -b = 0
+    part_ba = not b.mask & ~a.mask
     c_a_nb = fs_contact(a, fs_complement(b))
     c_b_na = fs_contact(b, fs_complement(a))
     return {
@@ -860,7 +838,7 @@ def _rcc8_flags(a: FaceSet, b: FaceSet) -> dict[Rcc8Relation, bool]:
 
 
 def rcc8_of_sets(a: FaceSet, b: FaceSet) -> Rcc8Relation:
-    if not a.faces or not b.faces:
+    if not a.mask or not b.mask:
         raise ValueError("RCC8 relations are defined for nonempty regions only")
     flags = _rcc8_flags(a, b)
     holding = [r for r, v in flags.items() if v]
@@ -894,18 +872,8 @@ def is_tree(g: ComponentGraph) -> bool:
         return True
     if len(g.edges) != n - 1:
         return False
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
-    for i, j in g.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
+    adj = _adjacency(n, (1 << i | 1 << j for i, j in g.edges))
+    return len(_components((1 << n) - 1, adj)) == 1
 
 
 def _partition_formula(terms: list[Term]) -> Formula:
@@ -952,7 +920,7 @@ def component_graph(
     edges = set()
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
-            if nodes[i].faces == nodes[j].faces:
+            if nodes[i].mask == nodes[j].mask:
                 continue
             if fs_contact(nodes[i], nodes[j]):
                 edges.add((i, j))

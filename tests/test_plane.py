@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import topoconn.plane as plane_module
+import topoconn.quasisaw as qs
 from topoconn.parser import parse
 from topoconn.plane import (
     ArrangementMismatchError,
+    ComponentGraph,
     PlaneScene,
     Polygon,
     Rcc8Relation,
@@ -288,3 +291,57 @@ def test_components_partition_facesets():
         assert frozenset().union(*(c.faces for c in comps)) == u.faces if comps else not u.faces
         for c in comps:
             assert fs_connected(c)
+        for i, c in enumerate(comps):
+            for d in comps[i + 1:]:
+                assert not fs_contact(c, d)
+
+
+def test_face_set_predicates_match_induced_quasisaw():
+    # random face subsets, not only region terms: each plane search must
+    # agree with the quasi-saw semantics of the induced model
+    rng = random.Random(45)
+    for _ in range(30):
+        arr = build_arrangement(random_rect_scene(rng, ("p", "q"), span=6))
+        frame = induced_quasisaw(arr).frame
+        for _ in range(8):
+            fs = arr.face_set(f for f in range(len(arr.faces)) if rng.random() < 0.5)
+            s = qs.rc_expand(frame, {f"f{f}" for f in fs.faces})
+            assert fs_connected(fs) == qs.is_connected(s)
+            assert fs_interior_connected(fs) == qs.is_interior_connected(s)
+            expected = [
+                {int(x[1:]) for x in comp if x in frame.w0} for comp in qs.components(s)
+            ]
+            assert sorted(map(sorted, expected)) == sorted(
+                sorted(c.faces) for c in fs_components(fs)
+            )
+
+
+def test_face_sets_and_component_graphs_are_hashable(three_squares):
+    arr = build_arrangement(three_squares)
+    r1 = arr.region_sets["r1"]
+    assert hash(r1) == hash(arr.face_set(r1.faces))
+    assert len({r1, arr.face_set(r1.faces), arr.region_sets["r2"]}) == 2
+    # equal faces on another build of the same scene are another set
+    assert r1 != build_arrangement(three_squares).region_sets["r1"]
+    g = component_graph(three_squares, ["r1", "r2", "r3", "-(r1 + r2 + r3)"])
+    assert hash(g) == hash(g)
+
+
+def test_is_tree_edge_cases():
+    def graph(n, edges):
+        return ComponentGraph(tuple(f"n{i}" for i in range(n)), (), frozenset(edges))
+
+    assert is_tree(graph(0, []))
+    assert is_tree(graph(1, []))
+    assert is_tree(graph(3, [(0, 1), (1, 2)]))
+    assert not is_tree(graph(2, []))
+    # n - 1 edges, but a triangle and an isolated node
+    assert not is_tree(graph(4, [(0, 1), (1, 2), (0, 2)]))
+
+
+def test_plane_does_not_use_the_quasisaw_core():
+    # the plane predicates are the independent side of the cross-check
+    # against induced quasi-saw models, so they must not call into it
+    for name in ("mask_components", "term_mask", "holds", "check"):
+        fn = getattr(qs, name)
+        assert all(v is not fn for v in vars(plane_module).values()), name
