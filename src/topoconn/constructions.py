@@ -27,9 +27,9 @@ from .plane import (
     _as_fraction,
     _cross,
     _on_segment,
-    _point_in_ring,
     _segments_share_point,
     _validate_ring,
+    point_in_polygon,
     point_in_region,
 )
 from .syntax import (
@@ -815,7 +815,7 @@ def k5m_separator(
     if len(pts) < 4:
         raise SceneError("separator curve needs at least 4 vertices")
     ring = Ring(tuple(pts))
-    _validate_ring(ring, "separator curve")
+    _validate_ring(ring.vertices, "separator curve")
     for a, b in ring.edges():
         if a[0] != b[0] and a[1] != b[1]:
             raise SceneError("separator curve must be rectilinear")
@@ -842,7 +842,7 @@ def k5m_separator(
         for poly in polys:
             for r in poly.rings():
                 for p in r.vertices:
-                    inside.add(_point_in_ring(p, verts))
+                    inside.add(point_in_polygon(p, Polygon(ring)))
         for p in verts:
             if point_in_region(p, polys):
                 raise SceneError(f"curve runs inside region {name}")

@@ -26,9 +26,15 @@ This module evaluates terms and connectivity on its own on purpose: it
 is the independent side of the cross-check against the quasi-saw
 semantics of the model induced by an arrangement.
 
-All arithmetic is over ``fractions.Fraction``; nothing is ever rounded,
-so coincident geometry is detected exactly and regularization (dropping
-lower-dimensional intersections) is implicit in the face representation.
+Scenes have exact rational coordinates.  The kernel multiplies them once
+by their common denominator and from then on runs on integers: ring
+validation, the overlay, the face cycles and their areas, and a
+representative point per face in homogeneous integer form ``(X, Y, W)``
+with ``W > 0``, which one point-in-ring test decides against integer
+rings.  Exact rationals are produced only for the returned vertices and
+representative points.  Nothing is ever rounded, so coincident geometry
+is detected exactly and regularization (dropping lower-dimensional
+intersections) is implicit in the face representation.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .quasisaw import QsModel, make_frame
@@ -65,6 +71,7 @@ from .syntax import (
 )
 
 Point = tuple[Fraction, Fraction]
+IntPoint = tuple[int, int]
 
 
 class SceneError(ValueError):
@@ -115,13 +122,7 @@ class Ring:
         return [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
 
     def signed_area2(self) -> Fraction:
-        acc = Fraction(0)
-        n = len(self.vertices)
-        for i in range(n):
-            ax, ay = self.vertices[i]
-            bx, by = self.vertices[(i + 1) % n]
-            acc += ax * by - bx * ay
-        return acc
+        return _area2(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -210,28 +211,43 @@ def _segments_share_point(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     )
 
 
-def _point_in_ring(p: Point, vertices: Sequence[Point]) -> bool:
-    """Strict even-odd membership; p must not lie on the ring itself.
-    Division-free: the crossing comparison is done by sign."""
+def _area2(pts: Sequence[Point]):
+    """Twice the signed area of a ring, positive when counterclockwise, in
+    the type of its coordinates."""
+    return sum(pts[i - 1][0] * y - x * pts[i - 1][1] for i, (x, y) in enumerate(pts))
+
+
+def _point_in_ring_h(x, y, w, ring: Sequence[Point]) -> bool:
+    """Strict even-odd membership of the point (x/w, y/w), w > 0, in a
+    ring; the point must not lie on the ring itself.  Division-free: the
+    comparisons are made in coordinates multiplied by w and decided by
+    sign, so integer arguments keep the test in integers."""
     inside = False
-    px, py = p
-    ax, ay = vertices[-1]
-    for bx, by in vertices:
-        if (ay <= py) != (by <= py):
-            # the edge crosses the horizontal through p; it does so right
-            # of p iff num/dy > 0 where num = dy * (crossing_x - px)
-            num = (py - ay) * (bx - ax) - (px - ax) * (by - ay)
+    ax, ay = ring[-1]
+    ayw = ay * w
+    for bx, by in ring:
+        byw = by * w
+        if (ayw <= y) != (byw <= y):
+            # the edge crosses the horizontal through the point; it does
+            # so right of it iff num/dy > 0, where num = w * dy * (crossing
+            # x - x/w)
+            num = (y - ayw) * (bx - ax) - (x - ax * w) * (by - ay)
             if num != 0 and (num > 0) == (by > ay):
                 inside = not inside
-        ax, ay = bx, by
+        ax, ay, ayw = bx, by, byw
     return inside
 
 
-def point_in_polygon(p: Point, poly: Polygon) -> bool:
-    parity = _point_in_ring(p, poly.outer.vertices)
-    for hole in poly.holes:
-        parity ^= _point_in_ring(p, hole.vertices)
+def _point_in_rings_h(x, y, w, rings: Iterable[Sequence[Point]]) -> bool:
+    """Even-odd membership in an outer ring with its hole rings."""
+    parity = False
+    for ring in rings:
+        parity ^= _point_in_ring_h(x, y, w, ring)
     return parity
+
+
+def point_in_polygon(p: Point, poly: Polygon) -> bool:
+    return _point_in_rings_h(p[0], p[1], 1, (r.vertices for r in poly.rings()))
 
 
 def point_in_region(p: Point, polys: Sequence[Polygon]) -> bool:
@@ -242,20 +258,21 @@ def point_in_region(p: Point, polys: Sequence[Polygon]) -> bool:
 # Scene validation
 
 
-def _validate_ring(ring: Ring, where: str) -> None:
-    pts = ring.vertices
-    if len(pts) < 3:
-        raise SceneError(f"{where}: ring needs at least 3 vertices")
-    if len(set(pts)) != len(pts):
-        raise SceneError(f"{where}: ring repeats a vertex")
-    if ring.signed_area2() == 0:
-        raise SceneError(f"{where}: ring has zero area")
+def _validate_ring(pts: Sequence[Point], where: str) -> None:
+    """Reject a ring that is not a simple closed curve.  Every decision
+    is a sign, order or equality of coordinates, so a ring multiplied by
+    a positive scale gets the same verdict and message."""
     n = len(pts)
-    edges = ring.edges()
+    if n < 3:
+        raise SceneError(f"{where}: ring needs at least 3 vertices")
+    if len(set(pts)) != n:
+        raise SceneError(f"{where}: ring repeats a vertex")
+    if _area2(pts) == 0:
+        raise SceneError(f"{where}: ring has zero area")
     for i in range(n):
-        a, b = edges[i]
+        a, b = pts[i], pts[(i + 1) % n]
         # adjacent edges may only share their common endpoint
-        nxt = edges[(i + 1) % n][1]
+        nxt = pts[(i + 2) % n]
         if _cross(b, a, nxt) == 0 and (nxt[0] - b[0]) * (a[0] - b[0]) + (
             nxt[1] - b[1]
         ) * (a[1] - b[1]) > 0:
@@ -263,17 +280,54 @@ def _validate_ring(ring: Ring, where: str) -> None:
         for j in range(i + 2, n):
             if i == 0 and j == n - 1:
                 continue  # adjacent around the wrap
-            c, d = edges[j]
-            if _segments_share_point(a, b, c, d):
+            if _segments_share_point(a, b, pts[j], pts[(j + 1) % n]):
                 raise SceneError(
                     f"{where}: ring self-intersects (edges {i} and {j})"
                 )
 
 
+def _on_grid(v: Point, k: int) -> IntPoint:
+    """The point ``v`` multiplied by ``k``, a multiple of the denominators
+    of its coordinates, as a pair of ints."""
+    return (
+        v[0].numerator * (k // v[0].denominator),
+        v[1].numerator * (k // v[1].denominator),
+    )
+
+
+ScaledRegions = list[tuple[str, list[list[tuple[IntPoint, ...]]]]]
+
+
+def _scaled(scene: PlaneScene) -> tuple[int, ScaledRegions]:
+    """The least common multiple of the scene's coordinate denominators,
+    and every ring multiplied by it: per region and polygon, the outer
+    ring first."""
+    scale = lcm(
+        *{
+            c.denominator
+            for _, polys in scene.regions
+            for poly in polys
+            for ring in poly.rings()
+            for v in ring.vertices
+            for c in v
+        }
+    )
+    return scale, [
+        (
+            name,
+            [
+                [tuple(_on_grid(v, scale) for v in ring.vertices) for ring in poly.rings()]
+                for poly in polys
+            ],
+        )
+        for name, polys in scene.regions
+    ]
+
+
 def validate_scene(scene: PlaneScene) -> None:
-    for name, polys in scene.regions:
-        for pi, poly in enumerate(polys):
-            for ri, ring in enumerate(poly.rings()):
+    for name, polys in _scaled(scene)[1]:
+        for pi, rings in enumerate(polys):
+            for ri, ring in enumerate(rings):
                 kind = "outer ring" if ri == 0 else f"hole ring {ri - 1}"
                 _validate_ring(ring, f"region {name}, polygon {pi}, {kind}")
 
@@ -288,17 +342,10 @@ def _norm_segment(a: Point, b: Point) -> Segment:
     return (a, b) if a <= b else (b, a)
 
 
-def _coord(num, den):
-    """Exact num/den, normalized to a plain int when integral."""
-    if den == 1:
-        return num
-    f = Fraction(num, den)
-    return f.numerator if f.denominator == 1 else f
-
-
-def _unscale(v, scale: int):
-    f = Fraction(v, scale) if isinstance(v, int) else v / scale
-    return f.numerator if f.denominator == 1 else f
+def _coord(num: int, den: int):
+    """Exact num/den for den > 0, as a plain int when integral."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def _overlay_segments(segments: list[Segment]) -> list[Segment]:
@@ -503,33 +550,13 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
     validate_scene(scene)
 
     # scale every coordinate to an integer once; the kernel then runs on
-    # machine integers and only produces fractions at crossing points
-    denominators = {
-        c.denominator
-        for _, polys in scene.regions
-        for poly in polys
-        for ring in poly.rings()
-        for v in ring.vertices
-        for c in v
-    }
-    scale = 1
-    for d in denominators:
-        scale = scale * d // gcd(scale, d)
-
-    def scaled(v: Point) -> tuple[int, int]:
-        return (
-            v[0].numerator * (scale // v[0].denominator),
-            v[1].numerator * (scale // v[1].denominator),
-        )
-
-    scaled_rings: dict[str, list[list[tuple[tuple[int, int], ...]]]] = {}
+    # integers, and only the overlay's crossing points may be fractions.
+    # validate_scene scales on its own, as a public call taking a scene.
+    scale, regions = _scaled(scene)
     raw: list[Segment] = []
     seen: set[Segment] = set()
-    for name, polys in scene.regions:
-        scaled_rings[name] = []
-        for poly in polys:
-            rings = [tuple(scaled(v) for v in ring.vertices) for ring in poly.rings()]
-            scaled_rings[name].append(rings)
+    for _, polys in regions:
+        for rings in polys:
             for ring in rings:
                 for k in range(len(ring)):
                     seg = _norm_segment(ring[k], ring[(k + 1) % len(ring)])
@@ -545,10 +572,21 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
 
     if not edges:
         # a scene with no geometry has a single unbounded face
-        arr = Arrangement(scene, vertices, [], [Face(0, False, None)], [], [])
+        arr = Arrangement(scene, [], [], [Face(0, False, None)], [], [])
         for name, _ in scene.regions:
             arr.region_sets[name] = arr.empty_set()
         return arr
+
+    # crossings off the integer grid: scale once more by their common
+    # denominator, so that everything from here on is integer
+    grid = lcm(*{c.denominator for v in vertices for c in v})
+    if grid != 1:
+        vertices = [_on_grid(v, grid) for v in vertices]
+        regions = [
+            (name, [[tuple(_on_grid(v, grid) for v in ring) for ring in rings] for rings in polys])
+            for name, polys in regions
+        ]
+        scale *= grid
 
     # half-edge structure: outgoing edges per vertex, sorted CCW
     outgoing: dict[int, list[int]] = {}
@@ -591,18 +629,12 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
                 cur = next_halfedge(cur)
             cycles.append(cyc)
 
-    def cycle_area2(cyc: list[tuple[int, int]]) -> int:
-        acc = 0
-        for u, v in cyc:
-            a, b = vertices[u], vertices[v]
-            acc += a[0] * b[1] - b[0] * a[1]
-        return acc
-
-    def cycle_rep(cyc: list[tuple[int, int]]) -> Point:
+    def cycle_rep(cyc: list[tuple[int, int]]) -> tuple[int, int, int]:
         # probe leftward from the midpoint of the first half-edge; the
         # nearest obstruction bounds the face, so half that distance is
-        # strictly interior.  Doubled coordinates keep everything integer
-        # and the minimum is tracked as a fraction pair.
+        # strictly interior.  Doubled coordinates keep everything integer,
+        # the minimum is tracked as a fraction pair, and the point is
+        # returned in homogeneous form (X, Y, W) with W > 0.
         u, v = cyc[0]
         a, b = vertices[u], vertices[v]
         mx2, my2 = a[0] + b[0], a[1] + b[1]
@@ -635,39 +667,29 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
                     if tn > 0 and (not found or tn * best_d < best_n * td):
                         best_n, best_d, found = tn, td, True
         # rep = m + (best/2) * n with m = (mx2/2, my2/2)
-        den = 2 * best_d
-        return (
-            _coord(mx2 * best_d + best_n * nx, den),
-            _coord(my2 * best_d + best_n * ny, den),
-        )
+        return (mx2 * best_d + best_n * nx, my2 * best_d + best_n * ny, 2 * best_d)
 
-    areas = [cycle_area2(c) for c in cycles]
+    cycle_rings = [[vertices[u] for u, _ in cyc] for cyc in cycles]
+    areas = [_area2(ring) for ring in cycle_rings]
     reps = [cycle_rep(c) for c in cycles]
 
+    # bounded faces in cycle discovery order; every other cycle is a hole
+    # boundary of the smallest bounded face around it, or of the
+    # unbounded face
     positive = [i for i, a2 in enumerate(areas) if a2 > 0]
-    # bounded faces in cycle discovery order
-    face_of_cycle: dict[int, int] = {}
-    faces: list[Face] = []
-    for fi, ci in enumerate(positive):
-        face_of_cycle[ci] = fi
-        faces.append(Face(fi, True, reps[ci]))
-    unbounded = len(faces)
-
-    pos_polys = [
-        ([vertices[u] for u, _ in cycles[ci]], abs(areas[ci]), ci) for ci in positive
-    ]
+    face_of_cycle = {ci: fi for fi, ci in enumerate(positive)}
+    unbounded = len(positive)
     for ci, a2 in enumerate(areas):
         if a2 > 0:
             continue
-        rep = reps[ci]
-        owner: Optional[int] = None
-        owner_area: Optional[Fraction] = None
-        for poly, area_abs, pci in pos_polys:
-            if _point_in_ring(rep, poly):
-                if owner_area is None or area_abs < owner_area:
-                    owner, owner_area = pci, area_abs
-        face_of_cycle[ci] = face_of_cycle[owner] if owner is not None else unbounded
-    faces.append(Face(unbounded, False, None))
+        x, y, w = reps[ci]
+        owner, owner_area = unbounded, 0
+        for pci in positive:
+            if (not owner_area or areas[pci] < owner_area) and _point_in_ring_h(
+                x, y, w, cycle_rings[pci]
+            ):
+                owner, owner_area = face_of_cycle[pci], areas[pci]
+        face_of_cycle[ci] = owner
 
     face_of_halfedge = {h: face_of_cycle[cycle_of[h]] for h in cycle_of}
 
@@ -680,49 +702,41 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
         for u in range(len(vertices))
     ]
 
-    arr = Arrangement(scene, vertices, list(edges), faces, edge_faces, vertex_faces)
-
-    # region membership tested in the scaled space, with a bounding-box
+    # region membership of every bounded face's point, with a bounding-box
     # prefilter per polygon
-    boxed = {
-        name: [
-            (
-                (
-                    min(v[0] for v in rings[0]),
-                    min(v[1] for v in rings[0]),
-                    max(v[0] for v in rings[0]),
-                    max(v[1] for v in rings[0]),
-                ),
-                rings,
-            )
-            for rings in poly_list
-        ]
-        for name, poly_list in scaled_rings.items()
-    }
+    face_reps = [reps[ci] for ci in positive]
+    region_masks = {}
+    for name, polys in regions:
+        mask = 0
+        for rings in polys:
+            outer = rings[0]
+            x0, x1 = min(v[0] for v in outer), max(v[0] for v in outer)
+            y0, y1 = min(v[1] for v in outer), max(v[1] for v in outer)
+            for fi, (x, y, w) in enumerate(face_reps):
+                if (
+                    not mask >> fi & 1
+                    and x0 * w < x < x1 * w
+                    and y0 * w < y < y1 * w
+                    and _point_in_rings_h(x, y, w, rings)
+                ):
+                    mask |= 1 << fi
+        region_masks[name] = mask
 
-    def in_region(rep: Point, name: str) -> bool:
-        for (x0, y0, x1, y1), rings in boxed[name]:
-            if not (x0 < rep[0] < x1 and y0 < rep[1] < y1):
-                continue
-            parity = _point_in_ring(rep, rings[0])
-            for hole in rings[1:]:
-                parity ^= _point_in_ring(rep, hole)
-            if parity:
-                return True
-        return False
-
-    for name, _ in scene.regions:
-        arr.region_sets[name] = arr.face_set(
-            f.index for f in faces if f.bounded and in_region(f.rep, name)
-        )
-
-    if scale != 1:
-        arr.vertices = [
-            (_unscale(x, scale), _unscale(y, scale)) for x, y in arr.vertices
-        ]
-        for f in faces:
-            if f.rep is not None:
-                f.rep = (_unscale(f.rep[0], scale), _unscale(f.rep[1], scale))
+    # exact rationals only here, at output
+    faces = [
+        Face(fi, True, (_coord(x, w * scale), _coord(y, w * scale)))
+        for fi, (x, y, w) in enumerate(face_reps)
+    ]
+    faces.append(Face(unbounded, False, None))
+    arr = Arrangement(
+        scene,
+        [(_coord(x, scale), _coord(y, scale)) for x, y in vertices],
+        list(edges),
+        faces,
+        edge_faces,
+        vertex_faces,
+    )
+    arr.region_sets = {name: FaceSet(arr, m) for name, m in region_masks.items()}
     return arr
 
 
@@ -847,8 +861,12 @@ def rcc8_of_sets(a: FaceSet, b: FaceSet) -> Rcc8Relation:
     return holding[0]
 
 
-def rcc8(scene: PlaneScene, name1: str, name2: str) -> Rcc8Relation:
-    arr = build_arrangement(scene)
+def rcc8(
+    scene: Union[PlaneScene, Arrangement], name1: str, name2: str
+) -> Rcc8Relation:
+    """RCC8 relation of two regions of a scene, or of an arrangement
+    already built from one."""
+    arr = scene if isinstance(scene, Arrangement) else build_arrangement(scene)
     for name in (name1, name2):
         if name not in arr.region_sets:
             raise UnboundRegionError(name)
@@ -891,12 +909,12 @@ def _partition_formula(terms: list[Term]) -> Formula:
 
 
 def component_graph(
-    scene: PlaneScene, members: Sequence[Union[str, Term]]
+    scene: Union[PlaneScene, Arrangement], members: Sequence[Union[str, Term]]
 ) -> ComponentGraph:
     """Graph on the connected components of the listed regions (variable
     names or term source text; a term slot lets a partition include the
-    unbounded complement region).  The members must form a partition of
-    the plane."""
+    unbounded complement region) of a scene, or of an arrangement already
+    built from one.  The members must form a partition of the plane."""
     from .parser import parse_term
     from .syntax import term_to_source
 
@@ -907,7 +925,7 @@ def component_graph(
         labels.append(term_to_source(terms[-1]))
     if not terms:
         raise ValueError("component_graph needs at least one member")
-    arr = build_arrangement(scene)
+    arr = scene if isinstance(scene, Arrangement) else build_arrangement(scene)
     if not plane_eval(arr, _partition_formula(terms)):
         raise ValueError("the listed members do not form a partition")
     nodes: list[FaceSet] = []

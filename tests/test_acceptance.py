@@ -288,7 +288,7 @@ def test_09_subcyclic_partitions_are_trees(capsys):
             scene, members = onion_partition(rng, colours, layers, strip=strip)
             arr = build_arrangement(scene)
             assert plane_eval(arr, sc_part([m for m in _parse_members(members)]))
-            g = component_graph(scene, members)
+            g = component_graph(arr, members)
             assert is_tree(g)
 
 

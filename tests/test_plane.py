@@ -1,11 +1,16 @@
+import json
 import random
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import topoconn.plane as plane_module
 import topoconn.quasisaw as qs
 from topoconn.parser import parse
+from topoconn.constructions import k5m_separator
 from topoconn.plane import (
     ArrangementMismatchError,
     ComponentGraph,
@@ -28,6 +33,8 @@ from topoconn.plane import (
     is_tree,
     plane_check,
     plane_eval,
+    point_in_polygon,
+    point_in_region,
     rcc8,
     rect,
     scene_from_json,
@@ -37,7 +44,9 @@ from topoconn.quasisaw import check as qs_check
 from topoconn.render import to_svg
 from topoconn.syntax import to_source
 
-from conftest import onion_partition, random_rect_scene
+from conftest import nested_rings, onion_partition, random_rect_scene
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "plane_golden.json"
 
 
 EQ1 = parse(
@@ -88,6 +97,46 @@ def test_degenerate_rings_rejected():
     bow = Ring(((0, 0), (2, 2), (2, 0), (0, 2)))
     with pytest.raises(SceneError):
         build_arrangement(PlaneScene.make({"r": [Polygon(bow)]}))
+    # rings with mixed denominators are validated after scaling to
+    # integers, with the messages of validation on fractions
+    F = Fraction
+    hole = Ring(((F(5, 2), F(5, 2)), (F(7, 2), F(10, 3)), (F(7, 2), F(5, 2)), (F(5, 2), F(13, 4))))
+    cases = [
+        (
+            {"r": [Polygon(Ring(((0, 0), (F(1, 3), F(1, 2)), (F(2, 3), 1))))]},
+            "region r, polygon 0, outer ring: ring has zero area",
+        ),
+        (
+            {"r": [Polygon(Ring(((0, 0), (F(1, 2), F(1, 3)), (F(5, 7), 0), (F(1, 2), F(1, 3)))))]},
+            "region r, polygon 0, outer ring: ring repeats a vertex",
+        ),
+        (
+            {"r": [Polygon(Ring(((0, 0), (F(3, 2), 0), (F(3, 2), F(5, 7)), (F(3, 2), F(2, 7)), (0, F(1, 3)))))]},
+            "region r, polygon 0, outer ring: ring folds back on itself at vertex 2",
+        ),
+        (
+            {"r": [Polygon(Ring(((0, 0), (F(5, 3), F(3, 2)), (F(5, 3), 0), (0, F(7, 4)))))]},
+            "region r, polygon 0, outer ring: ring self-intersects (edges 0 and 2)",
+        ),
+        (
+            {"a": [rect(0, 0, 1, 1)], "r": [rect(0, 0, 1, 1), Polygon(Ring(((2, 2), (4, 2), (4, 4), (2, 4))), (hole,))]},
+            "region r, polygon 1, hole ring 0: ring self-intersects (edges 0 and 2)",
+        ),
+    ]
+    for regions, message in cases:
+        with pytest.raises(SceneError) as err:
+            build_arrangement(PlaneScene.make(regions))
+        assert str(err.value) == message
+    # offsets far below the other coordinates still make simple rings
+    eps = F(1, 10**12)
+    thin = Ring(((0, 0), (1, eps), (1 + eps, 1), (eps, F(6, 7))))
+    sliver = Ring(((0, 0), (1, 0), (F(1, 2), F(1, 10**15))))
+    scene = PlaneScene.make({"r": [Polygon(thin)], "s": [Polygon(sliver)]})
+    arr = build_arrangement(scene)
+    for name in ("r", "s"):
+        fs = arr.region_sets[name]
+        assert fs.mask
+        assert all(point_in_region(arr.faces[f].rep, scene.polygons(name)) for f in fs.faces)
 
 
 def test_boolean_examples():
@@ -182,6 +231,33 @@ def test_rcc8_inverse_consistency():
     for _ in range(120):
         scene = random_rect_scene(rng, ("a", "b"), span=6, max_rects=2)
         assert rcc8(scene, "a", "b") == _INVERSE[rcc8(scene, "b", "a")]
+
+
+def test_rcc8_and_component_graph_take_an_arrangement(monkeypatch, three_squares):
+    scene, members = onion_partition(random.Random(5151), colours=3, layers=5)
+    pairs = [("l0", "l1"), ("l1", "l0"), ("l0", "l2"), ("l2", "l4")]
+    expected = [rcc8(scene, a, b) for a, b in pairs]
+    expected_graph = component_graph(scene, members)
+    arr = build_arrangement(scene)
+    builds = []
+    original = plane_module.build_arrangement
+    monkeypatch.setattr(
+        plane_module, "build_arrangement", lambda s: builds.append(s) or original(s)
+    )
+    assert [rcc8(arr, a, b) for a, b in pairs] == expected
+    g = component_graph(arr, members)
+    assert g.labels == expected_graph.labels and g.edges == expected_graph.edges
+    assert [n.faces for n in g.node_sets] == [n.faces for n in expected_graph.node_sets]
+    assert all(n.arr is arr for n in g.node_sets)
+    arr3 = build_arrangement(three_squares)
+    g3 = component_graph(arr3, ["r1", "r2", "r3", "-(r1 + r2 + r3)"])
+    assert len(g3.edges) == 6 and rcc8(arr3, "r1", "r2") == Rcc8Relation.EC
+    with pytest.raises(UnboundRegionError):
+        rcc8(arr3, "r1", "missing")
+    assert builds == []
+    # the scene form builds through the counted name
+    assert rcc8(three_squares, "r1", "r2") == Rcc8Relation.EC
+    assert builds == [three_squares]
 
 
 def test_component_graph_examples(three_squares):
@@ -345,3 +421,86 @@ def test_plane_does_not_use_the_quasisaw_core():
     for name in ("mask_components", "term_mask", "holds", "check"):
         fn = getattr(qs, name)
         assert all(v is not fn for v in vars(plane_module).values()), name
+
+
+def test_geometry_matches_golden():
+    """Vertices, face points and region faces of three scenes, recorded
+    as exact rationals: a fractional onion with holes, a separator gadget
+    and two rectangles whose crossings are off the integer grid."""
+    golden = json.loads(GOLDEN.read_text())
+    gadget = golden["k5m separator"]
+    built = k5m_separator(scene_from_json(gadget["base"]), "b1", "b2", gadget["curve"])
+    assert scene_to_json(built) == gadget["scene"]
+    for name, entry in golden.items():
+        arr = build_arrangement(scene_from_json(entry["scene"]))
+        got = {
+            "vertices": [[str(x), str(y)] for x, y in arr.vertices],
+            "reps": [f.rep and [str(f.rep[0]), str(f.rep[1])] for f in arr.faces],
+            "regions": {n: sorted(fs.faces) for n, fs in arr.region_sets.items()},
+        }
+        assert got == {key: entry[key] for key in got}, name
+        # integral coordinates come out as plain ints
+        coords = [c for v in arr.vertices for c in v]
+        coords += [c for f in arr.faces if f.rep for c in f.rep]
+        assert all(type(c) is int or c.denominator > 1 for c in coords), name
+
+
+def _even_odd(p, ring) -> bool:
+    """Reference even-odd test on fractions: the parity of the ring edges
+    that cross the rightward ray from p, with explicit crossing points."""
+    x, y = p
+    inside = False
+    for (ax, ay), (bx, by) in zip(ring[-1:] + ring[:-1], ring):
+        if (ay >= y) != (by >= y) and ax + (y - ay) * (bx - ax) / (by - ay) > x:
+            inside = not inside
+    return inside
+
+
+def _on_ring(p, ring) -> bool:
+    x, y = p
+    for (ax, ay), (bx, by) in zip(ring[-1:] + ring[:-1], ring):
+        if (bx - ax) * (y - ay) == (by - ay) * (x - ax) and (
+            min(ax, bx) <= x <= max(ax, bx) and min(ay, by) <= y <= max(ay, by)
+        ):
+            return True
+    return False
+
+
+def _sample_ring(kind: str, rng: random.Random) -> list:
+    if kind == "rect":
+        scene = random_rect_scene(rng, ("r",), span=9)
+        return list(rng.choice(scene.polygons("r")).outer.vertices)
+    if kind == "nested":
+        x0, y0, x1, y1 = rng.choice(nested_rings(rng, 6, strip=rng.random() < 0.5))
+        return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    # a ring with slanted edges and rational vertices, simple or not
+    return [
+        (Fraction(rng.randint(-30, 30), rng.randint(1, 6)), Fraction(rng.randint(-30, 30), rng.randint(1, 6)))
+        for _ in range(rng.randint(3, 6))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["rect", "nested", "slanted"]),
+    st.integers(0, 2**32),
+    st.fractions(Fraction(-1, 4), Fraction(5, 4), max_denominator=9),
+    st.fractions(Fraction(-1, 4), Fraction(5, 4), max_denominator=9),
+    st.fractions(Fraction(1, 1000), 1000, max_denominator=1000),
+    st.integers(1, 5),
+)
+def test_homogeneous_point_in_ring_matches_fractions(kind, seed, tx, ty, scale, k):
+    # a point drawn relative to the ring's bounding box, then ring and
+    # point scaled by a positive rational and brought to integers with
+    # the point in homogeneous form (X, Y, W), W > 0, not reduced
+    ring = _sample_ring(kind, random.Random(seed))
+    xs, ys = [v[0] for v in ring], [v[1] for v in ring]
+    p = (min(xs) + tx * (max(xs) - min(xs)), min(ys) + ty * (max(ys) - min(ys)))
+    assume(not _on_ring(p, ring))
+    grid = scale * lcm(*(Fraction(c * scale).denominator for v in ring for c in v))
+    int_ring = [(int(x * grid), int(y * grid)) for x, y in ring]
+    px, py = p[0] * grid, p[1] * grid
+    w = k * lcm(px.denominator, py.denominator)
+    expected = _even_odd(p, ring)
+    assert plane_module._point_in_ring_h(int(px * w), int(py * w), w, int_ring) == expected
+    assert point_in_polygon(p, Polygon(Ring(tuple(ring)))) == expected
