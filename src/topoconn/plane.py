@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .quasisaw import QsModel, make_frame
@@ -435,8 +436,10 @@ class Face:
 @dataclass(eq=False)
 class Arrangement:
     """Exact planar subdivision induced by a scene, with incidences and
-    the face set of every named region.  Arrangements compare by
-    identity, as face sets do across arrangements."""
+    the face mask of every named region.  Arrangements compare by
+    identity, as face sets do across arrangements.  An arrangement
+    holds masks, not face sets, so that it refers to nothing that
+    refers back to it and is freed as soon as it is dropped."""
 
     scene: PlaneScene
     vertices: list[Point]
@@ -444,7 +447,7 @@ class Arrangement:
     faces: list[Face]
     edge_faces: list[frozenset[int]]
     vertex_faces: list[frozenset[int]]
-    region_sets: dict[str, "FaceSet"] = field(default_factory=dict)
+    region_masks: dict[str, int] = field(default_factory=dict)
     # faces around each vertex, the two sides of each two-sided edge, and
     # per face the faces it touches (shares a vertex with), as face masks
     _vertex_masks: list[int] = field(init=False, repr=False)
@@ -455,6 +458,13 @@ class Arrangement:
         self._vertex_masks = [_mask(vf) for vf in self.vertex_faces]
         self._edge_masks = [_mask(ef) for ef in self.edge_faces if len(ef) == 2]
         self._touch = _adjacency(len(self.faces), self._vertex_masks)
+
+    @property
+    def region_sets(self) -> Mapping[str, "FaceSet"]:
+        """The face set of every named region, made afresh on each read."""
+        return MappingProxyType(
+            {name: FaceSet(self, m) for name, m in self.region_masks.items()}
+        )
 
     @property
     def unbounded_face(self) -> int:
@@ -572,10 +582,10 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
 
     if not edges:
         # a scene with no geometry has a single unbounded face
-        arr = Arrangement(scene, [], [], [Face(0, False, None)], [], [])
-        for name, _ in scene.regions:
-            arr.region_sets[name] = arr.empty_set()
-        return arr
+        return Arrangement(
+            scene, [], [], [Face(0, False, None)], [], [],
+            {name: 0 for name, _ in scene.regions},
+        )
 
     # crossings off the integer grid: scale once more by their common
     # denominator, so that everything from here on is integer
@@ -728,16 +738,15 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
         for fi, (x, y, w) in enumerate(face_reps)
     ]
     faces.append(Face(unbounded, False, None))
-    arr = Arrangement(
+    return Arrangement(
         scene,
         [(_coord(x, scale), _coord(y, scale)) for x, y in vertices],
         list(edges),
         faces,
         edge_faces,
         vertex_faces,
+        region_masks,
     )
-    arr.region_sets = {name: FaceSet(arr, m) for name, m in region_masks.items()}
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +782,7 @@ def fs_components(a: FaceSet) -> list[FaceSet]:
 def faceset_of_term(arr: Arrangement, t: Term) -> FaceSet:
     if isinstance(t, Variable):
         try:
-            return arr.region_sets[t.name]
+            return FaceSet(arr, arr.region_masks[t.name])
         except KeyError:
             raise UnboundRegionError(t.name) from None
     if isinstance(t, Zero):
@@ -867,10 +876,11 @@ def rcc8(
     """RCC8 relation of two regions of a scene, or of an arrangement
     already built from one."""
     arr = scene if isinstance(scene, Arrangement) else build_arrangement(scene)
+    masks = arr.region_masks
     for name in (name1, name2):
-        if name not in arr.region_sets:
+        if name not in masks:
             raise UnboundRegionError(name)
-    return rcc8_of_sets(arr.region_sets[name1], arr.region_sets[name2])
+    return rcc8_of_sets(FaceSet(arr, masks[name1]), FaceSet(arr, masks[name2]))
 
 
 # ---------------------------------------------------------------------------
@@ -962,8 +972,7 @@ def induced_quasisaw(arr: Arrangement) -> QsModel:
         w1.append((f"v{i}", frozenset(f"f{f}" for f in vf)))
     frame = make_frame(w0, tuple(w1))
     valuation = {
-        name: {f"f{f}" for f in fset.faces}
-        for name, fset in arr.region_sets.items()
+        name: {f"f{f}" for f in _bits(m)} for name, m in arr.region_masks.items()
     }
     return QsModel.make(frame, valuation)
 

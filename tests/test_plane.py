@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -401,6 +403,34 @@ def test_face_sets_and_component_graphs_are_hashable(three_squares):
     assert r1 != build_arrangement(three_squares).region_sets["r1"]
     g = component_graph(three_squares, ["r1", "r2", "r3", "-(r1 + r2 + r3)"])
     assert hash(g) == hash(g)
+
+
+def test_arrangement_is_freed_without_the_cycle_collector(three_squares):
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for scene in (three_squares, PlaneScene.make({"e": []})):
+            arr = build_arrangement(scene)
+            sets = arr.region_sets
+            ref = weakref.ref(arr)
+            del arr
+            assert ref() is not None  # the face sets still refer to it
+            del sets
+            assert ref() is None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def test_region_sets_are_derived_from_the_masks(three_squares):
+    arr = build_arrangement(three_squares)
+    sets = arr.region_sets
+    assert list(sets) == ["r1", "r2", "r3"]
+    assert {n: s.mask for n, s in sets.items()} == arr.region_masks
+    assert dict(sets) == dict(arr.region_sets)
+    assert [hash(s) for s in sets.values()] == [hash(s) for s in arr.region_sets.values()]
+    with pytest.raises(TypeError):
+        sets["r1"] = arr.empty_set()
 
 
 def test_is_tree_edge_cases():

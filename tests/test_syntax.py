@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,12 +19,14 @@ from topoconn.syntax import (
     LanguageId,
     Not,
     ONE,
+    One,
     Or,
     Polarity,
     Product,
     Sum,
     Variable,
     ZERO,
+    Zero,
     atoms,
     eliminate_contact,
     language_leq,
@@ -117,6 +122,164 @@ _formulas = st.recursive(
 @given(_formulas)
 def test_roundtrip_property(f):
     assert parse(to_source(f)) == f
+
+
+# The parser's precedence table, loosest first: | & ! (= != <=) + . -
+_OR_P, _AND_P, _NOT_P, _CMP_P, _SUM_P, _PROD_P, _NEG_P, _ATOM_P = range(1, 9)
+_SEPARATORS = ["", "", " ", "  ", "\n", "\t", " # note\n", "\r\n"]
+
+
+def _tight(node, rnd):
+    """Tokens of ``node`` with the fewest parentheses the precedence table
+    allows, using != and <= at random where the tree has their shape, and
+    the binding power of the outermost operator."""
+
+    def sub(child, need):
+        power, toks = _tight(child, rnd)
+        return toks if power >= need else ["(", *toks, ")"]
+
+    if isinstance(node, Variable):
+        return _ATOM_P, [node.name]
+    if isinstance(node, Zero):
+        return _ATOM_P, ["0"]
+    if isinstance(node, One):
+        return _ATOM_P, ["1"]
+    if isinstance(node, Sum):
+        return _SUM_P, sub(node.left, _SUM_P) + ["+"] + sub(node.right, _PROD_P)
+    if isinstance(node, Product):
+        return _PROD_P, sub(node.left, _PROD_P) + ["."] + sub(node.right, _NEG_P)
+    if isinstance(node, Complement):
+        return _NEG_P, ["-"] + sub(node.arg, _NEG_P)
+    if isinstance(node, AtomF):
+        a = node.atom
+        if isinstance(a, Eq):
+            l, r = a.left, a.right
+            if (isinstance(l, Product) and isinstance(l.right, Complement)
+                    and isinstance(r, Zero) and rnd.random() < 0.5):
+                return _CMP_P, sub(l.left, _SUM_P) + ["<="] + sub(l.right.arg, _SUM_P)
+            return _CMP_P, sub(l, _SUM_P) + ["="] + sub(r, _SUM_P)
+        if isinstance(a, Contact):
+            return _ATOM_P, ["C", "(", *sub(a.left, _SUM_P), ",", *sub(a.right, _SUM_P), ")"]
+        name = "c" if isinstance(a, Conn) else "ci"
+        return _ATOM_P, [name, "(", *sub(a.arg, _SUM_P), ")"]
+    if isinstance(node, Not):
+        g = node.arg
+        if isinstance(g, AtomF) and isinstance(g.atom, Eq) and rnd.random() < 0.5:
+            return _CMP_P, sub(g.atom.left, _SUM_P) + ["!="] + sub(g.atom.right, _SUM_P)
+        return _NOT_P, ["!"] + sub(g, _NOT_P)
+    if isinstance(node, And):
+        return _AND_P, sub(node.left, _AND_P) + ["&"] + sub(node.right, _NOT_P)
+    if isinstance(node, Or):
+        return _OR_P, sub(node.left, _OR_P) + ["|"] + sub(node.right, _AND_P)
+    raise TypeError(node)
+
+
+def _print_tight(node, rnd) -> str:
+    toks = _tight(node, rnd)[1]
+    return "".join(rnd.choice(_SEPARATORS) + tok for tok in toks) + rnd.choice(_SEPARATORS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_formulas, st.randoms(use_true_random=False))
+def test_parse_follows_the_precedence_table(f, rnd):
+    assert parse(_print_tight(f, rnd)) == f
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms, st.randoms(use_true_random=False))
+def test_parse_term_follows_the_precedence_table(t, rnd):
+    assert parse_term(_print_tight(t, rnd)) == t
+
+
+def test_tight_printer_examples():
+    class Fixed(random.Random):
+        # one space between tokens, and = rather than != or <=
+        def choice(self, seq):
+            return seq[2]
+
+        def random(self):
+            return 0.9
+
+    rnd = Fixed()
+    f = parse("!(r1 + r2 . -r3 = 0 | c(r1)) & (C(r1, r2) | !!r1 != r2)")
+    assert _print_tight(f, rnd) == (
+        " ! ( r1 + r2 . - r3 = 0 | c ( r1 ) ) & ( C ( r1 , r2 ) | ! ! ! r1 = r2 ) "
+    )
+    assert _print_tight(parse_term("(r1 + r2) . -(r1 . r2) + (r1 + r2)"), rnd) == (
+        " ( r1 + r2 ) . - ( r1 . r2 ) + ( r1 + r2 ) "
+    )
+
+
+PARSE_ERRORS = json.loads(
+    (Path(__file__).resolve().parent / "data" / "parse_errors.json").read_text()
+)
+
+
+def _parse_error(case) -> ParseError:
+    with pytest.raises(ParseError) as exc:
+        (parse if case["parse"] == "formula" else parse_term)(case["input"])
+    return exc.value
+
+
+def test_parse_error_positions_and_messages_match_corpus():
+    assert len(PARSE_ERRORS) >= 40
+    wrong = []
+    for case in PARSE_ERRORS:
+        err = _parse_error(case)
+        head = str(err).split(" (expected one of: ")[0]
+        if (err.line, err.col, head) != (case["line"], case["col"], case["message"]):
+            wrong.append((case["input"], err.line, err.col, head))
+    assert not wrong
+
+
+def test_parse_error_expected_sets_match_corpus():
+    wrong = []
+    for case in PARSE_ERRORS:
+        err = _parse_error(case)
+        expected = tuple(case["expected"])
+        suffix = f" (expected one of: {', '.join(expected)})" if expected else ""
+        if (err.expected, str(err)) != (expected, case["message"] + suffix):
+            wrong.append((case["input"], err.expected))
+    assert not wrong
+
+
+def _height(node) -> int:
+    """Height of a syntax tree, walked with an explicit stack, since
+    ``==`` and ``to_source`` recurse."""
+    height, stack = 0, [(node, 1)]
+    while stack:
+        n, d = stack.pop()
+        height = max(height, d)
+        for fld in dataclasses.fields(n):
+            child = getattr(n, fld.name)
+            if not isinstance(child, str):
+                stack.append((child, d + 1))
+    return height
+
+
+def test_parser_has_no_depth_limit():
+    n = 10_000
+    f = parse("!" * n + "c(a)")
+    assert _height(f) == n + 3
+    for _ in range(n):
+        f = f.arg
+    assert f == AtomF(Conn(Variable("a")))
+
+    assert parse("(" * n + "a = 0" + ")" * n) == AtomF(Eq(Variable("a"), ZERO))
+
+    t = parse_term("-" * n + "a")
+    assert _height(t) == n + 1
+    for _ in range(n):
+        t = t.arg
+    assert t == Variable("a")
+
+    f = parse("c(" + "(a . " * n + "b" + ")" * n + ")")
+    assert _height(f) == n + 3
+    t = f.atom.arg
+    for _ in range(n):
+        assert t.left == Variable("a")
+        t = t.right
+    assert t == Variable("b")
 
 
 # ---------------------------------------------------------------------------
