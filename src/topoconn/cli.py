@@ -75,6 +75,8 @@ def _read_formula(path: str) -> Formula:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text") from exc
     try:
         return parse(text)
     except ParseError as exc:
@@ -87,6 +89,8 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON") from exc
 
@@ -188,6 +192,8 @@ def load_scene_checked(path: str):
         return load_scene(path)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text") from exc
     except (SceneError, json.JSONDecodeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -229,6 +235,16 @@ def _cmd_render(args) -> int:
     return EXIT_TRUE
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="topoconn",
@@ -246,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-w0", type=int, default=5, dest="max_w0")
         sp.add_argument("--max-w1", type=int, default=10, dest="max_w1")
         sp.add_argument(
-            "--work-limit", type=int, default=10_000_000, dest="work_limit"
+            "--work-limit", type=_nonnegative_int, default=10_000_000, dest="work_limit"
         )
         sp.add_argument("file")
 

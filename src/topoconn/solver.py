@@ -14,34 +14,30 @@ with a single successor never change the value of any atom, nor can
 their removal disconnect the frame, so only families of distinct
 successor sets of size >= 2 are enumerated.
 
-For conjunctions of literals (every formula this package generates) a
-fast path exploits monotonicity: adding a depth-1 point can only make
-regions more connected and more in contact, never less.  Equality atoms
-are decided pointwise by cell types, negative contact literals forbid
-individual successor sets, and the remaining positive literals are
-satisfied by a minimal successor-set family found with iterative
-deepening.  Arbitrary formulas fall back to direct enumeration, which
-evaluates each candidate on bitmasks (the variables' traces are built
-once per cell-type tuple, the successor sets are the links) with the
-shared evaluator of :mod:`quasisaw` and builds a model only for the
-first candidate that satisfies the formula.
+Every formula is searched as the cubes (conjunctions of literals) of
+its disjunctive normal form, drawn lazily.  A model satisfies the
+formula exactly when it satisfies some cube, so the least candidate of
+a level over all cubes is the first model.  Within a cube, equality
+atoms are decided pointwise by cell types, negative contact literals
+forbid individual successor sets, and the positive literals, which
+extra depth-1 points never falsify, are satisfied by a minimal
+successor-set family found with iterative deepening.
 
-The fast path never builds all 2^v cell types of v variables.  It
-enumerates the cell types allowed by the positive equations one variable
-at a time, dropping a partial type as soon as an equation over the
-variables assigned so far rules it out; the allowed types are kept in
-ascending numeric order, and every term becomes a bitmask over that
-list.  So formulas whose equations make most cell types impossible (the
-pairwise disjoint regions of ``phi_inf_star`` keep 19 of 2^18 types)
-stay small.
+The cell types allowed by the positive equations that every cube
+contains are built one variable at a time, dropping a partial type as
+soon as an equation over the variables assigned so far rules it out, so
+the pairwise disjoint regions of ``phi_inf_star`` keep 19 of 2^18
+types.  The list is kept in ascending numeric order, every term becomes
+a bitmask over it, and each cube keeps the types that its other
+equations allow.
 
 ``work_limit`` bounds the work units spent before the bounds are
 exhausted; ``ResourceExhausted`` is raised when it is exceeded.  One
-unit is one partial cell type built, one cell-type tuple, one
-bipartition choice for the negative connectedness literals, or one
-search node of the minimal-family search on the fast path, and one
-candidate model in the fallback enumeration.  ``UnsatUpTo`` reports the
-units spent as ``frames_examined``.
+unit is one partial cell type built, one literal of a partial cube made
+at a disjunction, one cell-type tuple tried for a cube, one bipartition
+choice for the negative connectedness literals, or one search node of
+the minimal-family search.  ``UnsatUpTo`` reports the units spent as
+``frames_examined``.
 
 Results are certificates: ``Sat`` carries a model that has been
 re-checked (also against the brute-force oracle when small enough),
@@ -51,9 +47,10 @@ re-checked (also against the brute-force oracle when small enough),
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from functools import partial
+from itertools import combinations_with_replacement, product, tee
 from math import ceil
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .quasisaw import (
     DEFAULT_ORACLE_CAP,
@@ -61,7 +58,6 @@ from .quasisaw import (
     QsModel,
     check,
     classify_frame,
-    holds,
     make_frame,
     mask_components,
     oracle_check,
@@ -123,40 +119,6 @@ SolveResult = Union[Sat, UnsatUpTo]
 
 
 # ---------------------------------------------------------------------------
-# Literal extraction
-
-
-@dataclass(frozen=True)
-class _Literal:
-    positive: bool
-    atom: Atom
-
-
-def _flatten_literals(f: Formula, sign: bool, out: list[_Literal]) -> bool:
-    """Collect literals if ``f`` (under ``sign``) is a conjunction of
-    literals; returns False when it is not."""
-    if isinstance(f, AtomF):
-        out.append(_Literal(sign, f.atom))
-        return True
-    if isinstance(f, Not):
-        return _flatten_literals(f.arg, not sign, out)
-    if isinstance(f, And) and sign:
-        return _flatten_literals(f.left, sign, out) and _flatten_literals(
-            f.right, sign, out
-        )
-    if isinstance(f, Or) and not sign:
-        return _flatten_literals(f.left, sign, out) and _flatten_literals(
-            f.right, sign, out
-        )
-    return False
-
-
-def as_literal_conjunction(f: Formula) -> Optional[list[_Literal]]:
-    out: list[_Literal] = []
-    return out if _flatten_literals(f, True, out) else None
-
-
-# ---------------------------------------------------------------------------
 # Work budget
 
 
@@ -171,6 +133,68 @@ class _Budget:
             raise ResourceExhausted(
                 f"work limit of {self.limit} work units exceeded"
             )
+
+
+# ---------------------------------------------------------------------------
+# Literals and cubes
+
+
+# a literal is a pair (positive, atom), a fork a pair (disjunction, sign)
+_Literal = tuple[bool, Atom]
+_Fork = tuple[Formula, bool]
+
+
+def _split(f: Formula, sign: bool, cube: list[_Literal], forks: list[_Fork]) -> None:
+    """Conjoin ``f`` (negated when ``sign`` is False) to a partial cube:
+    append the literals reached from ``f`` through conjunctions only to
+    ``cube``, left to right, and the disjunctions met on the way to
+    ``forks``.  Under a negation ``Or`` conjoins and ``And`` branches."""
+    stack = [(f, sign)]
+    while stack:
+        g, sign = stack.pop()
+        if isinstance(g, AtomF):
+            cube.append((sign, g.atom))
+        elif isinstance(g, Not):
+            stack.append((g.arg, not sign))
+        elif isinstance(g, And if sign else Or):
+            stack += ((g.right, sign), (g.left, sign))
+        elif isinstance(g, (And, Or)):
+            forks.append((g, sign))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+
+
+def as_literal_conjunction(f: Formula) -> Optional[list[_Literal]]:
+    """The literals of ``f``, left to right, when ``f`` is a conjunction
+    of literals (its disjunctive normal form has one cube); None when a
+    disjunction occurs under the polarity of ``f``."""
+    literals: list[_Literal] = []
+    forks: list[_Fork] = []
+    _split(f, True, literals, forks)
+    return None if forks else literals
+
+
+def _cubes(
+    spine: list[_Literal], forks: list[_Fork], work: _Budget
+) -> Iterator[list[_Literal]]:
+    """The cubes of the disjunctive normal form of ``spine`` conjoined
+    with ``forks``, one at a time.  Every cube starts with the literals
+    of ``spine`` and adds those of one branch of each fork, left branches
+    first.  Each partial cube made at a fork costs one unit of work per
+    literal, so the work limit bounds the time and memory of the
+    expansion."""
+    stack: list = [(spine, forks, None)]
+    while stack:
+        cube, forks, branch = stack.pop()
+        if branch is not None:
+            cube, forks = cube.copy(), forks.copy()
+            _split(*branch, cube, forks)
+            work.spend(len(cube))
+        if not forks:
+            yield cube
+            continue
+        (g, sign), rest = forks[0], forks[1:]
+        stack += ((cube, rest, (g.right, sign)), (cube, rest, (g.left, sign)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,38 +218,45 @@ def _var_masks(cts: Sequence[int], var_names: tuple[str, ...]) -> dict[str, int]
 
 
 def _cell_types(
-    equations: list[tuple[Term, Term]], var_names: tuple[str, ...], work: _Budget
-) -> list[int]:
-    """The cell types satisfying every equation ``left = right``, in
-    ascending numeric order.
+    literals: list[_Literal], var_names: tuple[str, ...], work: _Budget
+) -> tuple[list[int], dict[str, int]]:
+    """The cell types satisfying every positive equation among
+    ``literals``, in ascending numeric order, and the variables' masks
+    over that list (see ``_var_masks``).
 
     Types are built one variable at a time, in the order of
     ``var_names``.  Once all variables of an equation are assigned, the
     partial types violating it are dropped, so each level holds at most
     twice the partial types that survived the level before.  Each
     partial type built costs one unit of work."""
-    index = {name: i for i, name in enumerate(var_names)}
-    due: list[list[tuple[Term, Term]]] = [[] for _ in range(len(var_names) + 1)]
-    for left, right in equations:
-        names = term_variables(left) | term_variables(right)
-        due[max((index[n] + 1 for n in names), default=0)].append((left, right))
+    due: dict[int, list[tuple[Term, Term]]] = {}
+    for positive, a in literals:
+        if positive and isinstance(a, Eq):
+            names = term_variables(a.left) | term_variables(a.right)
+            k = max((var_names.index(n) + 1 for n in names), default=0)
+            due.setdefault(k, []).append((a.left, a.right))
     cts = [0]
-    for k, eqs in enumerate(due):
+    masks: dict[str, int] = {}
+    for k in range(len(var_names) + 1):
         if k:
             work.spend(2 * len(cts))
             # appending the types with the new, highest bit keeps the
             # list in ascending order
+            n = len(cts)
             cts += [ct | 1 << (k - 1) for ct in cts]
-        if eqs:
+            for name, m in masks.items():
+                masks[name] = m | m << n
+            masks[var_names[k - 1]] = ((1 << n) - 1) << n
+        if k in due:
             full = (1 << len(cts)) - 1
-            masks = _var_masks(cts, var_names[:k])
             keep = full
-            for left, right in eqs:
+            for left, right in due[k]:
                 keep &= ~(term_mask(left, masks, full) ^ term_mask(right, masks, full))
             cts = [ct for j, ct in enumerate(cts) if keep >> j & 1]
             if not cts:
                 break
-    return cts
+            masks = _var_masks(cts, var_names[:k])
+    return cts, masks
 
 
 def _trace_of(tt: int, idx: tuple[int, ...]) -> int:
@@ -239,7 +270,7 @@ def _trace_of(tt: int, idx: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fast path for conjunctions of literals
+# Search over the cubes of the disjunctive normal form
 
 
 @dataclass
@@ -385,8 +416,9 @@ def _minimal_family(
     per negative and filtering the crossing masks out of ``allowed``.
     Each branch costs one unit of work.
     """
-    if budget_k < 0:
-        return None
+    if not negatives:  # the caller has established feasibility
+        work.spend()
+        return _minimal_positive_family(allowed, positives, budget_k, work)
     crossings = [
         [_crossing_mask(allowed, neg, pa, pb) for pa, pb in _bipartitions(neg.trace)]
         for neg in negatives
@@ -431,183 +463,112 @@ def _build_model(
     return QsModel.make(frame, valuation)
 
 
-def _solve_conjunction(
-    literals: list[_Literal],
-    var_names: tuple[str, ...],
-    cls: FrameClass,
-    bounds: Bounds,
-    work: _Budget,
-) -> Optional[QsModel]:
-    equations = [
-        (lit.atom.left, lit.atom.right)
-        for lit in literals
-        if lit.positive and isinstance(lit.atom, Eq)
-    ]
-    allowed_cts = _cell_types(equations, var_names, work)
-    if not allowed_cts:
-        # every point violates some equation: no model at any bounds
-        return None
-    ct_full = (1 << len(allowed_cts)) - 1
-    var_masks = _var_masks(allowed_cts, var_names)
+class _Cube:
+    """One cube of the formula, prepared over the shared cell-type list:
+    the types its own equations keep, and its other literals as term
+    masks over that list."""
 
-    def tt(t: Term) -> int:
-        return term_mask(t, var_masks, ct_full)
+    def __init__(
+        self,
+        literals: list[_Literal],
+        shared: int,
+        tt: Callable[[Term], int],
+        n_types: int,
+        work: _Budget,
+    ):
+        self.work = work
+        keep = (1 << n_types) - 1
+        neq_diffs: list[int] = []
+        self.contact_lits: list[tuple[bool, int, int]] = []
+        self.conn_lits: list[tuple[bool, bool, int]] = []  # (positive, interior, tt)
+        for k, (positive, a) in enumerate(literals):
+            if isinstance(a, Eq):
+                if not positive:
+                    neq_diffs.append(tt(a.left) ^ tt(a.right))
+                elif k >= shared:  # the list obeys the first ``shared`` literals
+                    keep &= ~(tt(a.left) ^ tt(a.right))
+            elif isinstance(a, Contact):
+                self.contact_lits.append((positive, tt(a.left), tt(a.right)))
+            elif isinstance(a, Conn):
+                self.conn_lits.append((positive, False, tt(a.arg)))
+            elif isinstance(a, IntConn):
+                self.conn_lits.append((positive, True, tt(a.arg)))
+            else:
+                raise TypeError(f"not an atom: {a!r}")
+        neq_diffs = [d & keep for d in neq_diffs]
+        if not all(neq_diffs):
+            keep = 0  # a disequation that no kept type witnesses: no model
+        self.kept = [j for j in range(n_types) if keep >> j & 1]
+        # per cell type, the disequations a point of that type witnesses:
+        # a tuple of types satisfies them all when their union is full
+        self.witnessed = [0] * n_types
+        for k, d in enumerate(neq_diffs):
+            for j in self.kept:
+                if d >> j & 1:
+                    self.witnessed[j] |= 1 << k
+        self.all_neq = (1 << len(neq_diffs)) - 1
 
-    neq_diffs: list[int] = []
-    contact_lits: list[tuple[bool, int, int]] = []
-    conn_lits: list[tuple[bool, bool, int]] = []  # (positive, interior, tt)
-    for lit in literals:
-        a = lit.atom
-        if isinstance(a, Eq):
-            if not lit.positive:
-                neq_diffs.append(tt(a.left) ^ tt(a.right))
-        elif isinstance(a, Contact):
-            contact_lits.append((lit.positive, tt(a.left), tt(a.right)))
-        elif isinstance(a, Conn):
-            conn_lits.append((lit.positive, False, tt(a.arg)))
-        elif isinstance(a, IntConn):
-            conn_lits.append((lit.positive, True, tt(a.arg)))
-        else:
-            raise TypeError(f"not an atom: {a!r}")
+    def family(
+        self, idx: tuple[int, ...], base: list[int], connected: bool, budget_k: int
+    ) -> Optional[tuple[int, ...]]:
+        """The least family of at most ``budget_k`` successor sets from
+        ``base`` under which the depth-0 points of cell types ``idx``
+        satisfy the cube's contact and connectedness literals; None when
+        there is none."""
+        pos_contact: list[tuple[int, int]] = []
+        neg_contact: list[tuple[int, int]] = []
+        for positive, t1_tt, t2_tt in self.contact_lits:
+            t1, t2 = _trace_of(t1_tt, idx), _trace_of(t2_tt, idx)
+            if t1 & t2:
+                if not positive:
+                    return None
+            elif positive:
+                if t1 == 0 or t2 == 0:
+                    return None
+                pos_contact.append((t1, t2))  # the traces must be linked
+            else:
+                neg_contact.append((t1, t2))
 
-    if any(d == 0 for d in neq_diffs):
-        # some disequation can never be witnessed: no model at any bounds
-        return None
-    # per cell type, the bitmask of the disequations a point of that type
-    # witnesses; a tuple of types satisfies them all when the union of
-    # its masks is full
-    witnessed = [
-        sum(1 << k for k, d in enumerate(neq_diffs) if d >> j & 1)
-        for j in range(len(allowed_cts))
-    ]
-    all_neq = (1 << len(neq_diffs)) - 1
+        pos_conn: list[tuple[bool, int]] = []
+        negatives: list[_ConnConstraint] = []
+        for positive, interior, a_tt in self.conn_lits:
+            t = _trace_of(a_tt, idx)
+            if t.bit_count() <= 1:
+                if not positive:
+                    return None
+            elif positive:
+                pos_conn.append((interior, t))
+            else:
+                negatives.append(_ConnConstraint(t, interior, frozenset(), 1))
+        if connected:
+            pos_conn.append((False, (1 << len(idx)) - 1))
 
-    for n0 in range(1, bounds.max_w0 + 1):
-        full_trace = (1 << n0) - 1
-        base = _base_masks(n0, cls)
-        best: Optional[tuple[int, tuple[int, ...], tuple[int, ...]]] = None
-        # indices into the ascending list enumerate the cell-type tuples
-        # in the same order as the types themselves
-        for idx in combinations_with_replacement(range(len(allowed_cts)), n0):
-            work.spend()
-            seen = 0
-            for j in idx:
-                seen |= witnessed[j]
-            if seen != all_neq:
-                continue
-
-            dead = False
-            pos_contact: list[tuple[int, int]] = []
-            neg_contact: list[tuple[int, int]] = []
-            for positive, t1_tt, t2_tt in contact_lits:
-                t1, t2 = _trace_of(t1_tt, idx), _trace_of(t2_tt, idx)
-                if positive:
-                    if t1 & t2:
-                        continue  # traces already meet
-                    if t1 == 0 or t2 == 0:
-                        dead = True
-                        break
-                    pos_contact.append((t1, t2))
-                else:
-                    if t1 & t2:
-                        dead = True
-                        break
-                    neg_contact.append((t1, t2))
-            if dead:
-                continue
-
-            pos_conn: list[tuple[bool, int]] = []
-            neg_conn: list[tuple[bool, int]] = []
-            for positive, interior, a_tt in conn_lits:
-                t = _trace_of(a_tt, idx)
-                if t.bit_count() <= 1:
-                    if not positive:
-                        dead = True
-                        break
-                    continue
-                (pos_conn if positive else neg_conn).append((interior, t))
-            if dead:
-                continue
-            if cls in (FrameClass.CON_QS, FrameClass.CON_2QS) and n0 > 1:
-                pos_conn.append((False, full_trace))
-
+        allowed = base
+        if neg_contact:
             allowed = [
                 m
                 for m in base
                 if not any(m & t1 and m & t2 for t1, t2 in neg_contact)
             ]
-
-            positives: list[_PosConstraint] = []
-            feasible = True
-            for t1, t2 in pos_contact:
-                cand = frozenset(m for m in allowed if m & t1 and m & t2)
-                if not cand:
-                    feasible = False
-                    break
-                positives.append(_CoverConstraint(cand))
-            if feasible:
-                for interior, t in pos_conn:
-                    if interior:
-                        cand = frozenset(
-                            m for m in allowed if not m & ~t and (m & t).bit_count() >= 2
-                        )
-                    else:
-                        cand = frozenset(m for m in allowed if (m & t).bit_count() >= 2)
-                    max_merge = max(((m & t).bit_count() - 1 for m in cand), default=0)
-                    constraint = _ConnConstraint(t, interior, cand, max(max_merge, 1))
-                    if not constraint.satisfied(list(cand)):
-                        feasible = False
-                        break
-                    positives.append(constraint)
-            if not feasible:
-                continue
-
-            negatives = [
-                _ConnConstraint(t, interior, frozenset(), 1)
-                for interior, t in neg_conn
-            ]
-
-            budget_k = bounds.max_w1 if best is None else best[0] - 1
-            if budget_k < 0:
-                continue
-            family = _minimal_family(allowed, positives, negatives, budget_k, work)
-            if family is not None and (best is None or len(family) < best[0]):
-                best = (len(family), idx, family)
-                if best[0] == 0:
-                    break
-        if best is not None:
-            cts = tuple(allowed_cts[j] for j in best[1])
-            return _build_model(var_names, n0, cts, best[2])
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Fallback enumeration for arbitrary formulas
-
-
-def _solve_fallback(
-    f: Formula,
-    var_names: tuple[str, ...],
-    cls: FrameClass,
-    bounds: Bounds,
-    work: _Budget,
-) -> Optional[QsModel]:
-    n_ct = 1 << len(var_names)
-    # the base masks already give every link two successors for con2
-    connected_only = cls is not FrameClass.ALL_QS
-    for n0 in range(1, bounds.max_w0 + 1):
-        full = (1 << n0) - 1
-        base = _base_masks(n0, cls)
-        for n1 in range(0, bounds.max_w1 + 1):
-            for cts in combinations_with_replacement(range(n_ct), n0):
-                masks = _var_masks(cts, var_names)
-                for family in combinations(base, n1):
-                    work.spend()
-                    if connected_only and len(mask_components(full, family)) > 1:
-                        continue
-                    if holds(f, masks, family, full):
-                        return _build_model(var_names, n0, cts, family)
-    return None
+        positives: list[_PosConstraint] = []
+        for t1, t2 in pos_contact:
+            cand = frozenset(m for m in allowed if m & t1 and m & t2)
+            if not cand:
+                return None
+            positives.append(_CoverConstraint(cand))
+        for interior, t in pos_conn:
+            # interior connectedness uses only the links inside the trace
+            cand = frozenset(
+                m
+                for m in allowed
+                if (m & t).bit_count() >= 2 and not (interior and m & ~t)
+            )
+            max_merge = max(((m & t).bit_count() - 1 for m in cand), default=0)
+            constraint = _ConnConstraint(t, interior, cand, max(max_merge, 1))
+            if not constraint.satisfied(list(cand)):
+                return None
+            positives.append(constraint)
+        return _minimal_family(allowed, positives, negatives, budget_k, self.work)
 
 
 # ---------------------------------------------------------------------------
@@ -624,15 +585,53 @@ def solve(
     """Search for a quasi-saw model of ``f`` in the given frame class,
     up to the given bounds.  UnsatUpTo never claims unsatisfiability
     beyond the searched bounds."""
-    var_names = variables(f)
     work = _Budget(work_limit)
-    literals = as_literal_conjunction(f)
-    if literals is not None:
-        model = _solve_conjunction(literals, var_names, cls, bounds, work)
-    else:
-        model = _solve_fallback(f, var_names, cls, bounds, work)
-    if model is None:
+    var_names = variables(f)
+    spine: list[_Literal] = []
+    forks: list[_Fork] = []
+    _split(f, True, spine, forks)
+    # every cube contains the spine, so its equations alone shape the
+    # cell-type list that all cubes share
+    cts, var_masks = _cell_types(spine, var_names, work)
+    if not cts:
+        # every point violates some equation: no model at any bounds
         return UnsatUpTo(bounds, work.used)
+    tt = partial(term_mask, masks=var_masks, full=(1 << len(cts)) - 1)
+    cubes = (
+        _Cube(c, len(spine), tt, len(cts), work) for c in _cubes(spine, forks, work)
+    )
+    for n0 in range(1, bounds.max_w0 + 1):
+        base = _base_masks(n0, cls)
+        connected = n0 > 1 and cls is not FrameClass.ALL_QS
+        # the least candidate (n1, cell-type tuple, family) so far; the
+        # initial one is beaten by every candidate within the bounds
+        best: tuple[int, tuple[int, ...], tuple[int, ...]] = (bounds.max_w1 + 1, (), ())
+        # replay the cubes drawn so far; draw more only when reached
+        cubes, level = tee(cubes)
+        for cube in level:
+            witnessed, all_neq = cube.witnessed, cube.all_neq
+            # indices into the ascending list enumerate the cell-type
+            # tuples in the same order as the types themselves
+            for idx in combinations_with_replacement(cube.kept, n0):
+                if not best[0] and idx > best[1]:
+                    break  # no later tuple beats a model without depth-1 points
+                work.spend()
+                seen = 0
+                for j in idx:
+                    seen |= witnessed[j]
+                if seen != all_neq:
+                    continue
+                budget_k = best[0] if idx <= best[1] else best[0] - 1
+                family = cube.family(idx, base, connected, budget_k)
+                if family is not None and (len(family), idx, family) < best:
+                    best = (len(family), idx, family)
+            if best == (0, (0,) * n0, ()):
+                break  # no candidate of the level precedes it
+        if best[1]:
+            break
+    else:
+        return UnsatUpTo(bounds, work.used)
+    model = _build_model(var_names, n0, tuple(cts[j] for j in best[1]), best[2])
     if cls not in classify_frame(model.frame):
         raise RuntimeError("internal error: model leaves the requested frame class")
     result = Sat(model, cls)

@@ -218,6 +218,50 @@ def test_work_limit_is_honoured_on_many_variables(capsys, tmp_path, gen_args):
     assert "work units" in proc.stderr
 
 
+def test_work_limit_is_honoured_on_disjunctions(tmp_path):
+    # 2^20 cubes over 40 variables
+    clauses = [f"(c(a{i}) | !c(b{i}))" for i in range(20)]
+    formula = tmp_path / "f.fml"
+    formula.write_text(" & ".join(clauses + ["a0 != a0"]))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "topoconn.cli", "solve", "--work-limit", "1000",
+         str(formula)],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "work units" in proc.stderr
+
+
+def test_negative_work_limit_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--work-limit", "-5", str(DATA / "eq1.fml")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "argument --work-limit: not a nonnegative integer: '-5'" in err
+
+
+@pytest.mark.parametrize("reader", ["formula", "model", "scene"])
+def test_input_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, reader):
+    bad = tmp_path / "latin1"
+    good = tmp_path / "f.fml"
+    good.write_text("c(a)")
+    if reader == "formula":
+        bad.write_bytes("c(a) # caf\xe9".encode("latin-1"))
+        argv = ["parse", str(bad)]
+    else:
+        bad.write_bytes(b'{"w0": ["x\xff"], "w1": [], "valuation": {}}')
+        argv = ["eval", f"--{reader}", str(bad), str(good)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: not UTF-8 text\n"
+
+
 _MODEL = {"w0": ["x"], "w1": [], "valuation": {"a": ["x"]}}
 _SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 _PCP = json.loads((DATA / "pcp_small.json").read_text())

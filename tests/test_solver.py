@@ -1,5 +1,7 @@
 import json
 import random
+import time
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -7,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from topoconn.constructions import eq1vs2, eq2vs3, k5m, partition, wiggly
 from topoconn.parser import parse
-from topoconn.quasisaw import FrameClass, check, classify_frame, model_to_json
+from topoconn.quasisaw import (
+    FrameClass,
+    QsModel,
+    check,
+    classify_frame,
+    make_frame,
+    model_to_json,
+)
 from topoconn.solver import (
     Bounds,
     ResourceExhausted,
@@ -15,6 +24,7 @@ from topoconn.solver import (
     UnsatUpTo,
     _Budget,
     _cell_types,
+    _var_masks,
     as_literal_conjunction,
     enumerate_models,
     solve,
@@ -25,13 +35,22 @@ from topoconn.solver import (
 from topoconn.syntax import (
     ONE,
     ZERO,
+    AtomF,
     Complement,
+    Conn,
+    Eq,
+    IntConn,
+    Not,
+    Or,
     Product,
     Sum,
     Term,
     Variable,
+    conj,
+    nnf,
     term_variables,
     to_source,
+    variables,
 )
 
 from conftest import random_formula
@@ -202,9 +221,9 @@ def test_certificates_match_golden():
 
 
 def test_fallback_certificates_match_golden():
-    """Formulas that are not literal conjunctions take the enumeration
-    path; its certificates and the work spent on a refutation are pinned
-    at (3,3) in every class."""
+    """Formulas with more than one cube in their disjunctive normal form:
+    their certificates and the work spent on a refutation are pinned at
+    (3,3) in every class."""
     golden = json.loads(GOLDEN.read_text())["other formulas at (3,3)"]
     got = {}
     for source in golden:
@@ -219,6 +238,102 @@ def test_fallback_certificates_match_golden():
                 else {"unsat-up-to": result.frames_examined}
             )
     assert got == golden
+
+
+def _first_model_in_canonical_order(f, cls, bounds):
+    """Reference for the certificate contract: enumerate the candidates
+    of every cell type, with no pruning, in the canonical order (n0, n1,
+    nondecreasing cell-type tuple, ascending family of distinct successor
+    sets of size >= 2), and return the first one whose frame lies in the
+    class and that satisfies ``f``."""
+    names = variables(f)
+    for n0 in range(1, bounds.max_w0 + 1):
+        w0 = [f"x{j}" for j in range(n0)]
+        sizes = (2,) if cls is FrameClass.CON_2QS else range(2, n0 + 1)
+        base = [m for m in range(1 << n0) if m.bit_count() in sizes]
+        for n1 in range(bounds.max_w1 + 1):
+            frames = []
+            for family in combinations(base, n1):
+                w1 = [
+                    (f"z{i}", [w0[j] for j in range(n0) if m >> j & 1])
+                    for i, m in enumerate(family)
+                ]
+                frame = make_frame(w0, w1)
+                if cls in classify_frame(frame):
+                    frames.append(frame)
+            for cts in combinations_with_replacement(range(1 << len(names)), n0):
+                valuation = {
+                    name: {w0[j] for j in range(n0) if cts[j] >> i & 1}
+                    for i, name in enumerate(names)
+                }
+                for frame in frames:
+                    model = QsModel.make(frame, valuation)
+                    if check(model, f):
+                        return model
+    return None
+
+
+def test_solve_returns_the_first_model_in_canonical_order():
+    # formulas with a disjunction under their polarity, so several cubes
+    rng = random.Random(20240611)
+    bounds = Bounds(3, 3)
+    formulas = []
+    while len(formulas) < 200:
+        f = random_formula(rng, ("a", "b", "cc"), 3)
+        if as_literal_conjunction(f) is None:
+            formulas.append(f)
+    start = time.perf_counter()
+    for f in formulas:
+        for cls in FrameClass:
+            expected = _first_model_in_canonical_order(f, cls, bounds)
+            got = solve(f, cls, bounds)
+            if expected is None:
+                assert isinstance(got, UnsatUpTo), to_source(f)
+            else:
+                assert isinstance(got, Sat), to_source(f)
+                assert model_to_json(got.model) == model_to_json(expected)
+    assert time.perf_counter() - start < 15
+
+
+def _nnf_literals(f):
+    """The literals of ``f`` left to right, or None when its negation
+    normal form contains a disjunction."""
+    if isinstance(f, AtomF):
+        return [(True, f.atom)]
+    if isinstance(f, Not):
+        return [(False, f.arg.atom)]
+    if isinstance(f, Or):
+        return None
+    left, right = _nnf_literals(f.left), _nnf_literals(f.right)
+    return None if left is None or right is None else left + right
+
+
+def test_as_literal_conjunction_matches_the_negation_normal_form():
+    rng = random.Random(4711)
+    conjunctions = 0
+    for k in range(10_000):
+        f = random_formula(rng, ("a", "b"), 1 + k % 5)
+        expected = _nnf_literals(nnf(f))
+        assert as_literal_conjunction(f) == expected, to_source(f)
+        conjunctions += expected is not None
+    assert 1000 < conjunctions < 9000
+
+
+def test_cube_expansion_is_charged():
+    # 12 disjunctions under one unsatisfiable literal: 2^12 dead cubes.
+    # Each partial cube made at a disjunction costs one unit per literal;
+    # the one of depth d holds the spine literal and d more.
+    clause = Or(AtomF(Conn(Variable("a"))), AtomF(IntConn(Variable("a"))))
+    never = Not(AtomF(Eq(Variable("a"), Variable("a"))))
+    f = conj([never] + [clause] * 12)
+    result = solve(f, FrameClass.ALL_QS, Bounds(3, 3))
+    expansion = sum(2**d * (d + 1) for d in range(1, 13))
+    assert result == UnsatUpTo(Bounds(3, 3), 2 + expansion)
+    # 2^20 cubes: the work limit stops the expansion early
+    start = time.perf_counter()
+    with pytest.raises(ResourceExhausted):
+        solve(conj([never] + [clause] * 20), work_limit=1000)
+    assert time.perf_counter() - start < 5
 
 
 NAMES = ("a", "b", "c", "d", "e")
@@ -247,33 +362,41 @@ def _holds(t: Term, ct: int, names: tuple[str, ...]) -> bool:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5), st.lists(st.tuples(terms, terms), max_size=4))
+@given(st.integers(1, 5), st.lists(st.tuples(st.booleans(), terms, terms), max_size=4))
 def test_cell_types_match_brute_force(v, equations):
+    # only the positive equations shape the list
     names = NAMES[:v]
-    equations = [
-        (l, r)
-        for l, r in equations
+    literals = [
+        (positive, Eq(l, r))
+        for positive, l, r in equations
         if term_variables(l) | term_variables(r) <= set(names)
     ]
     expected = [
         ct
         for ct in range(1 << v)
-        if all(_holds(l, ct, names) == _holds(r, ct, names) for l, r in equations)
+        if all(
+            _holds(a.left, ct, names) == _holds(a.right, ct, names)
+            for positive, a in literals
+            if positive
+        )
     ]
-    assert _cell_types(equations, names, _Budget(10**6)) == expected
+    cts, masks = _cell_types(literals, names, _Budget(10**6))
+    assert cts == expected
+    if cts:
+        assert masks == _var_masks(cts, names)
 
 
 def test_cell_type_enumeration_is_charged():
     # 18 pairwise disjoint variables keep 19 cell types, and building
     # them stays within a small budget
     names = tuple(f"p{i:02d}" for i in range(18))
-    equations = [
-        (Product(Variable(a), Variable(b)), ZERO)
+    literals = [
+        (True, Eq(Product(Variable(a), Variable(b)), ZERO))
         for i, a in enumerate(names)
         for b in names[i + 1 :]
     ]
     work = _Budget(1000)
-    assert _cell_types(equations, names, work) == [0] + [1 << i for i in range(18)]
+    assert _cell_types(literals, names, work)[0] == [0] + [1 << i for i in range(18)]
     assert work.used == 2 * sum(range(1, 19))
     with pytest.raises(ResourceExhausted):
         _cell_types([], names, _Budget(1000))
