@@ -11,16 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from . import constructions
 from .parser import ParseError, parse
 from .plane import (
     SceneError,
     UnboundRegionError,
-    load_scene,
     plane_check,
     rcc8,
+    scene_from_json,
 )
 from .quasisaw import (
     FrameClass,
@@ -69,30 +69,38 @@ class InputError(Exception):
     pass
 
 
-def _read_formula(path: str) -> Formula:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text") from exc
+
+
+def _read_formula(path: str) -> Formula:
+    text = _read_text(path)
     try:
         return parse(text)
     except ParseError as exc:
         raise InputError(f"{path}:{exc}") from exc
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str, loader: Callable[[object], object]):
+    """The object that ``loader`` makes of the JSON in the file; every
+    error names the file."""
+    text = _read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text") from exc
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
+    try:
+        return loader(data)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
@@ -170,39 +178,26 @@ def _cmd_eval(args) -> int:
     if (args.model is None) == (args.scene is None):
         raise InputError("eval needs exactly one of --model or --scene")
     if args.model is not None:
-        model = model_from_json(_read_json(args.model))
-        value = check(model, f)
+        value = check(_read_json(args.model, model_from_json), f)
     else:
-        scene = load_scene_checked(args.scene)
-        value = plane_check(scene, f)
+        value = plane_check(_read_json(args.scene, scene_from_json), f)
     _emit({"verdict": value}, args.json, "true" if value else "false")
     return _verdict_exit(value)
 
 
 def _cmd_oracle(args) -> int:
     f = _read_formula(args.file)
-    model = model_from_json(_read_json(args.model))
+    model = _read_json(args.model, model_from_json)
     value = oracle_check(model, f, cap=args.cap)
     _emit({"verdict": value}, args.json, "true" if value else "false")
     return _verdict_exit(value)
-
-
-def load_scene_checked(path: str):
-    try:
-        return load_scene(path)
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text") from exc
-    except (SceneError, json.JSONDecodeError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def _cmd_gen(args) -> int:
     if args.what == "pcp":
         if args.instance is None:
             raise InputError("gen pcp needs --instance FILE")
-        inst = constructions.pcp_from_json(_read_json(args.instance))
+        inst = _read_json(args.instance, constructions.pcp_from_json)
         f = constructions.phi_pcp(inst)
     else:
         if args.instance is not None:
@@ -217,15 +212,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_rcc8(args) -> int:
-    scene = load_scene_checked(args.scene)
-    rel = rcc8(scene, args.a, args.b)
+    rel = rcc8(_read_json(args.scene, scene_from_json), args.a, args.b)
     _emit({"relation": rel.value}, args.json, rel.value)
     return EXIT_TRUE
 
 
 def _cmd_render(args) -> int:
-    scene = load_scene_checked(args.scene)
-    svg = to_svg(scene)
+    svg = to_svg(_read_json(args.scene, scene_from_json))
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svg)

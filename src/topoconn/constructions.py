@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .plane import (
     PlaneScene,
@@ -25,8 +25,6 @@ from .plane import (
     Ring,
     SceneError,
     _as_fraction,
-    _cross,
-    _on_segment,
     _segments_share_point,
     _validate_ring,
     point_in_polygon,
@@ -73,6 +71,16 @@ def _require_distinct(names: Sequence[TermLike], what: str) -> None:
         raise ValueError(f"{what} requires distinct arguments")
 
 
+def _disjoint(ts: Sequence[Term]) -> list[Formula]:
+    """The pairwise disjointness equations ``ti . tj = 0`` for i < j, in
+    lexicographic order of (i, j)."""
+    return [
+        AtomF(Eq(Product(ts[i], ts[j]), ZERO))
+        for i in range(len(ts))
+        for j in range(i + 1, len(ts))
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Partition and colouring templates
 
@@ -83,11 +91,7 @@ def partition(members: Sequence[TermLike]) -> Formula:
     if not ts:
         raise ValueError("partition needs at least one member")
     _require_distinct(members, "partition")
-    parts: list[Formula] = [AtomF(Eq(term_sum(ts), ONE))]
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            parts.append(AtomF(Eq(Product(ts[i], ts[j]), ZERO)))
-    return conj(parts)
+    return conj([AtomF(Eq(term_sum(ts), ONE))] + _disjoint(ts))
 
 
 def sc_part(members: Sequence[TermLike]) -> Formula:
@@ -155,9 +159,7 @@ def k5m(v: Sequence[TermLike]) -> Formula:
     for t in r:
         parts.append(AtomF(IntConn(t)))
         parts.append(nonempty(t))
-    for i in range(5):
-        for j in range(i + 1, 5):
-            parts.append(AtomF(Eq(Product(r[i], r[j]), ZERO)))
+    parts += _disjoint(r)
     for j in (2, 3, 4):
         parts.append(AtomF(IntConn(Sum(r[0], r[j]))))
     for i in range(1, 5):
@@ -178,9 +180,7 @@ def stack_i(members: Sequence[TermLike]) -> Formula:
     parts: list[Formula] = []
     for i in range(n):
         parts.append(AtomF(IntConn(term_sum(ts[i:]))))
-    for i in range(n):
-        for j in range(i + 1, n):
-            parts.append(AtomF(Eq(Product(ts[i], ts[j]), ZERO)))
+    parts += _disjoint(ts)
     for i in range(n):
         for j in range(i + 2, n):
             parts.append(Not(AtomF(Contact(ts[i], ts[j]))))
@@ -200,10 +200,7 @@ def frame_i(members: Sequence[TermLike]) -> Formula:
     for i in range(n):
         parts.append(nonempty(ts[i]))
         parts.append(AtomF(IntConn(Sum(ts[i], ts[(i + 1) % n]))))
-    for i in range(n):
-        for j in range(i + 1, n):
-            parts.append(AtomF(Eq(Product(ts[i], ts[j]), ZERO)))
-    return conj(parts)
+    return conj(parts + _disjoint(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +431,7 @@ def phi_inf_star() -> Formula:
     everyone: list[Variable] = [s[0], s[1], s[2], s[3], a, b]
     everyone += [av[i, j] for i in (0, 1) for j in (1, 2, 3)]
     everyone += [bv[i, j] for i in (0, 1) for j in (1, 2, 3)]
-    for i in range(len(everyone)):
-        for j in range(i + 1, len(everyone)):
-            parts.append(AtomF(Eq(Product(everyone[i], everyone[j]), ZERO)))
-    return conj(parts)
+    return conj(parts + _disjoint(everyone))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ intersections) is implicit in the face representation.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -69,6 +68,8 @@ from .syntax import (
     Zero,
     ZERO,
     ONE,
+    conj,
+    term_sum,
 )
 
 Point = tuple[Fraction, Fraction]
@@ -445,19 +446,16 @@ class Arrangement:
     vertices: list[Point]
     edges: list[tuple[int, int]]
     faces: list[Face]
-    edge_faces: list[frozenset[int]]
-    vertex_faces: list[frozenset[int]]
+    # the faces on the two sides of each edge (one bit when both sides
+    # are the same face) and the faces around each vertex, as face masks
+    edge_masks: list[int]
+    vertex_masks: list[int]
     region_masks: dict[str, int] = field(default_factory=dict)
-    # faces around each vertex, the two sides of each two-sided edge, and
     # per face the faces it touches (shares a vertex with), as face masks
-    _vertex_masks: list[int] = field(init=False, repr=False)
-    _edge_masks: list[int] = field(init=False, repr=False)
     _touch: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._vertex_masks = [_mask(vf) for vf in self.vertex_faces]
-        self._edge_masks = [_mask(ef) for ef in self.edge_faces if len(ef) == 2]
-        self._touch = _adjacency(len(self.faces), self._vertex_masks)
+        self._touch = _adjacency(len(self.faces), self.vertex_masks)
 
     @property
     def region_sets(self) -> Mapping[str, "FaceSet"]:
@@ -465,10 +463,6 @@ class Arrangement:
         return MappingProxyType(
             {name: FaceSet(self, m) for name, m in self.region_masks.items()}
         )
-
-    @property
-    def unbounded_face(self) -> int:
-        return len(self.faces) - 1
 
     def all_faces(self) -> frozenset[int]:
         return frozenset(range(len(self.faces)))
@@ -579,13 +573,6 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
     vertices = sorted({p for seg in pieces for p in seg})
     vindex = {p: i for i, p in enumerate(vertices)}
     edges = sorted({(vindex[a], vindex[b]) for a, b in pieces})
-
-    if not edges:
-        # a scene with no geometry has a single unbounded face
-        return Arrangement(
-            scene, [], [], [Face(0, False, None)], [], [],
-            {name: 0 for name, _ in scene.regions},
-        )
 
     # crossings off the integer grid: scale once more by their common
     # denominator, so that everything from here on is integer
@@ -701,16 +688,13 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
                 owner, owner_area = face_of_cycle[pci], areas[pci]
         face_of_cycle[ci] = owner
 
-    face_of_halfedge = {h: face_of_cycle[cycle_of[h]] for h in cycle_of}
-
-    edge_faces = [
-        frozenset({face_of_halfedge[(u, v)], face_of_halfedge[(v, u)]})
-        for u, v in edges
-    ]
-    vertex_faces = [
-        frozenset(face_of_halfedge[(u, v)] for v in outgoing.get(u, []))
-        for u in range(len(vertices))
-    ]
+    # incidences as face masks: half-edge (u, v) puts its face at edge
+    # {u, v} and at vertex u
+    face_bit = {h: 1 << face_of_cycle[ci] for h, ci in cycle_of.items()}
+    edge_masks = [face_bit[u, v] | face_bit[v, u] for u, v in edges]
+    vertex_masks = [0] * len(vertices)
+    for (u, _), bit in face_bit.items():
+        vertex_masks[u] |= bit
 
     # region membership of every bounded face's point, with a bounding-box
     # prefilter per polygon
@@ -743,8 +727,8 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
         [(_coord(x, scale), _coord(y, scale)) for x, y in vertices],
         list(edges),
         faces,
-        edge_faces,
-        vertex_faces,
+        edge_masks,
+        vertex_masks,
         region_masks,
     )
 
@@ -761,14 +745,14 @@ def fs_interior_connected(a: FaceSet) -> bool:
     """Faces are joined through the vertices and two-sided edges that lie
     wholly inside the set."""
     arr, outside = a.arr, ~a.mask
-    inner = [m for m in arr._edge_masks + arr._vertex_masks if not m & outside]
+    inner = [m for m in arr.edge_masks + arr.vertex_masks if not m & outside]
     return len(_components(a.mask, _adjacency(len(arr.faces), inner))) <= 1
 
 
 def fs_contact(a: FaceSet, b: FaceSet) -> bool:
     _require_same_arrangement(a, b)
     am, bm = a.mask, b.mask
-    return bool(am & bm) or any(vm & am and vm & bm for vm in a.arr._vertex_masks)
+    return bool(am & bm) or any(vm & am and vm & bm for vm in a.arr.vertex_masks)
 
 
 def fs_components(a: FaceSet) -> list[FaceSet]:
@@ -905,17 +889,14 @@ def is_tree(g: ComponentGraph) -> bool:
 
 
 def _partition_formula(terms: list[Term]) -> Formula:
-    total: Term = terms[0]
-    for t in terms[1:]:
-        total = Sum(total, t)
-    parts: list[Formula] = [AtomF(Eq(total, ONE))]
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            parts.append(AtomF(Eq(Product(terms[i], terms[j]), ZERO)))
-    f = parts[0]
-    for p in parts[1:]:
-        f = And(f, p)
-    return f
+    return conj(
+        [AtomF(Eq(term_sum(terms), ONE))]
+        + [
+            AtomF(Eq(Product(terms[i], terms[j]), ZERO))
+            for i in range(len(terms))
+            for j in range(i + 1, len(terms))
+        ]
+    )
 
 
 def component_graph(
@@ -965,11 +946,11 @@ def induced_quasisaw(arr: Arrangement) -> QsModel:
     vertex becomes a depth-1 point below its incident faces."""
     w0 = tuple(f"f{f.index}" for f in arr.faces)
     w1: list[tuple[str, frozenset[str]]] = []
-    for i, ef in enumerate(arr.edge_faces):
-        if len(ef) == 2:
-            w1.append((f"e{i}", frozenset(f"f{f}" for f in ef)))
-    for i, vf in enumerate(arr.vertex_faces):
-        w1.append((f"v{i}", frozenset(f"f{f}" for f in vf)))
+    for i, m in enumerate(arr.edge_masks):
+        if m & (m - 1):  # two distinct sides
+            w1.append((f"e{i}", frozenset(f"f{f}" for f in _bits(m))))
+    for i, m in enumerate(arr.vertex_masks):
+        w1.append((f"v{i}", frozenset(f"f{f}" for f in _bits(m))))
     frame = make_frame(w0, tuple(w1))
     valuation = {
         name: {f"f{f}" for f in _bits(m)} for name, m in arr.region_masks.items()
@@ -1020,8 +1001,3 @@ def scene_from_json(data: dict) -> PlaneScene:
             out.append(Polygon(ring_from(p["outer"]), tuple(ring_from(h) for h in holes)))
         regions[name] = out
     return PlaneScene.make(regions)
-
-
-def load_scene(path: str) -> PlaneScene:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scene_from_json(json.load(fh))

@@ -17,9 +17,9 @@ interior is connected exactly when the trace is connected under the
 links lying wholly inside it.  One routine, :func:`mask_components`,
 answers every such question, for ``check``, ``classify_frame``,
 ``components`` and the solver alike.  One evaluator, :func:`term_mask`,
-gives every term as a trace mask, and :func:`holds` evaluates formulas
-on masks; ``check`` is ``holds`` on a model's masks, and the solver
-calls it on candidates it never turns into models.
+gives every term as a trace mask, for ``check`` and for the solver's
+cell-type masks, and :func:`holds` evaluates formulas on masks;
+``check`` is ``holds`` on a model's masks.
 
 Two evaluators are provided: :func:`check` uses the trace-level
 characterizations of the predicates, while :func:`oracle_check`

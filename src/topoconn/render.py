@@ -8,7 +8,6 @@ output.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .plane import PlaneScene, Polygon
 

@@ -34,9 +34,10 @@ equations allow.
 ``work_limit`` bounds the work units spent before the bounds are
 exhausted; ``ResourceExhausted`` is raised when it is exceeded.  One
 unit is one partial cell type built, one literal of a partial cube made
-at a disjunction, one cell-type tuple tried for a cube, one bipartition
-choice for the negative connectedness literals, or one search node of
-the minimal-family search.  ``UnsatUpTo`` reports the units spent as
+at a disjunction, one cell-type tuple tried for a cube, one branch of
+the family search (one bipartition choice; one branch when there is no
+negative connectedness literal), or one search node of the
+minimal-family search.  ``UnsatUpTo`` reports the units spent as
 ``frames_examined``.
 
 Results are certificates: ``Sat`` carries a model that has been
@@ -276,32 +277,22 @@ def _trace_of(tt: int, idx: tuple[int, ...]) -> int:
 @dataclass
 class _ConnConstraint:
     trace: int
-    subset_only: bool  # interior connectivity uses only links inside the trace
+    interior: bool  # interior connectivity uses only links inside the trace
     cand: frozenset[int]
     max_merge: int
 
-    def satisfied(self, family: list[int]) -> bool:
-        return len(mask_components(self.trace, family, self.subset_only)) <= 1
-
     def need(self, family: list[int]) -> int:
-        comps = len(mask_components(self.trace, family, self.subset_only))
-        if comps <= 1:
-            return 0
-        return ceil((comps - 1) / self.max_merge)
+        """A lower bound on the links still missing; 0 when satisfied."""
+        comps = len(mask_components(self.trace, family, self.interior))
+        return ceil((comps - 1) / self.max_merge) if comps > 1 else 0
 
 
 @dataclass
 class _CoverConstraint:
     cand: frozenset[int]
 
-    def satisfied(self, family: list[int]) -> bool:
-        return any(m in self.cand for m in family)
-
     def need(self, family: list[int]) -> int:
-        return 0 if self.satisfied(family) else 1
-
-
-_PosConstraint = Union[_ConnConstraint, _CoverConstraint]
+        return 0 if any(m in self.cand for m in family) else 1
 
 
 def _base_masks(n0: int, cls: FrameClass) -> list[int]:
@@ -314,7 +305,7 @@ def _base_masks(n0: int, cls: FrameClass) -> list[int]:
 
 def _minimal_positive_family(
     allowed: list[int],
-    positives: list[_PosConstraint],
+    positives: list[_ConnConstraint | _CoverConstraint],
     budget_k: int,
     work: _Budget,
 ) -> Optional[tuple[int, ...]]:
@@ -327,12 +318,11 @@ def _minimal_positive_family(
     useful = frozenset().union(*(c.cand for c in positives))
     allowed = [m for m in allowed if m in useful]
 
-    def lower_bound(family: list[int]) -> int:
-        unsat = [(c.need(family), c.cand) for c in positives if not c.satisfied(family)]
-        unsat = [(n, cand) for n, cand in unsat if n > 0]
-        if not unsat:
-            return 0
-        best = max(n for n, _ in unsat)
+    def unsatisfied(family: list[int]) -> list[tuple[int, frozenset[int]]]:
+        return [(n, c.cand) for c in positives if (n := c.need(family))]
+
+    def lower_bound(unsat: list[tuple[int, frozenset[int]]]) -> int:
+        best = max((n for n, _ in unsat), default=0)
         packed = 0
         used: set[int] = set()
         for n, cand in sorted(unsat, key=lambda item: len(item[1])):
@@ -343,12 +333,12 @@ def _minimal_positive_family(
 
     def dfs(family: list[int], start: int, k: int) -> Optional[tuple[int, ...]]:
         work.spend()
-        unsat = [c for c in positives if not c.satisfied(family)]
+        unsat = unsatisfied(family)
         if not unsat:
             return tuple(family)
-        if len(family) + lower_bound(family) > k:
+        if len(family) + lower_bound(unsat) > k:
             return None
-        cand_now = frozenset().union(*(c.cand for c in unsat))
+        cand_now = frozenset().union(*(cand for _, cand in unsat))
         for i in range(start, len(allowed)):
             m = allowed[i]
             if m not in cand_now:
@@ -360,7 +350,7 @@ def _minimal_positive_family(
             family.pop()
         return None
 
-    lb0 = lower_bound([])
+    lb0 = lower_bound(unsatisfied([]))
     if lb0 > budget_k:
         return None
     for k in range(max(lb0, 1), budget_k + 1):
@@ -387,13 +377,14 @@ def _bipartitions(trace: int) -> Iterator[tuple[int, int]]:
 
 
 def _crossing_mask(
-    allowed: list[int], neg: _ConnConstraint, part_a: int, part_b: int
+    allowed: list[int], trace: int, interior: bool, part_a: int, part_b: int
 ) -> int:
     """The positions in ``allowed`` of the links joining the two parts
-    of a bipartition of ``neg``'s trace."""
+    of a bipartition of ``trace``; interior connectedness uses only the
+    links inside the trace."""
     mask = 0
     for i, m in enumerate(allowed):
-        if neg.subset_only and m & ~neg.trace:
+        if interior and m & ~trace:
             continue
         if m & part_a and m & part_b:
             mask |= 1 << i
@@ -402,26 +393,26 @@ def _crossing_mask(
 
 def _minimal_family(
     allowed: list[int],
-    positives: list[_PosConstraint],
-    negatives: list[_ConnConstraint],
+    positives: list[_ConnConstraint | _CoverConstraint],
+    negatives: list[tuple[int, bool]],
     budget_k: int,
     work: _Budget,
 ) -> Optional[tuple[int, ...]]:
     """Smallest family satisfying the positives while keeping every
-    negative trace disconnected; ties broken lexicographically.
+    negative trace, given as ``(trace, interior)``, disconnected; ties
+    broken lexicographically.
 
     A family keeps a negative trace disconnected exactly when some
     bipartition of that trace has no crossing link in the family, so the
     negatives are eliminated by branching over one bipartition witness
     per negative and filtering the crossing masks out of ``allowed``.
-    Each branch costs one unit of work.
+    Without negatives there is one branch, which filters nothing.  Each
+    branch costs one unit of work.  The caller has established the
+    positives' feasibility under ``allowed`` itself.
     """
-    if not negatives:  # the caller has established feasibility
-        work.spend()
-        return _minimal_positive_family(allowed, positives, budget_k, work)
     crossings = [
-        [_crossing_mask(allowed, neg, pa, pb) for pa, pb in _bipartitions(neg.trace)]
-        for neg in negatives
+        [_crossing_mask(allowed, t, interior, pa, pb) for pa, pb in _bipartitions(t)]
+        for t, interior in negatives
     ]
     best: Optional[tuple[int, ...]] = None
     seen_filters: set[int] = set()
@@ -433,9 +424,11 @@ def _minimal_family(
         if removed in seen_filters:
             continue
         seen_filters.add(removed)
-        filtered = [m for i, m in enumerate(allowed) if not removed >> i & 1]
-        if any(not c.satisfied(filtered) for c in positives):
-            continue
+        filtered = allowed
+        if removed:
+            filtered = [m for i, m in enumerate(allowed) if not removed >> i & 1]
+            if any(c.need(filtered) for c in positives):
+                continue
         budget = budget_k if best is None else len(best)
         found = _minimal_positive_family(filtered, positives, budget, work)
         if found is not None and (
@@ -530,7 +523,7 @@ class _Cube:
                 neg_contact.append((t1, t2))
 
         pos_conn: list[tuple[bool, int]] = []
-        negatives: list[_ConnConstraint] = []
+        negatives: list[tuple[int, bool]] = []
         for positive, interior, a_tt in self.conn_lits:
             t = _trace_of(a_tt, idx)
             if t.bit_count() <= 1:
@@ -539,7 +532,7 @@ class _Cube:
             elif positive:
                 pos_conn.append((interior, t))
             else:
-                negatives.append(_ConnConstraint(t, interior, frozenset(), 1))
+                negatives.append((t, interior))
         if connected:
             pos_conn.append((False, (1 << len(idx)) - 1))
 
@@ -550,7 +543,7 @@ class _Cube:
                 for m in base
                 if not any(m & t1 and m & t2 for t1, t2 in neg_contact)
             ]
-        positives: list[_PosConstraint] = []
+        positives: list[_ConnConstraint | _CoverConstraint] = []
         for t1, t2 in pos_contact:
             cand = frozenset(m for m in allowed if m & t1 and m & t2)
             if not cand:
@@ -563,9 +556,9 @@ class _Cube:
                 for m in allowed
                 if (m & t).bit_count() >= 2 and not (interior and m & ~t)
             )
-            max_merge = max(((m & t).bit_count() - 1 for m in cand), default=0)
-            constraint = _ConnConstraint(t, interior, cand, max(max_merge, 1))
-            if not constraint.satisfied(list(cand)):
+            max_merge = max(((m & t).bit_count() - 1 for m in cand), default=1)
+            constraint = _ConnConstraint(t, interior, cand, max_merge)
+            if constraint.need(list(cand)):
                 return None
             positives.append(constraint)
         return _minimal_family(allowed, positives, negatives, budget_k, self.work)
@@ -580,7 +573,6 @@ def solve(
     cls: FrameClass = FrameClass.ALL_QS,
     bounds: Bounds = Bounds(5, 10),
     work_limit: int = DEFAULT_WORK_LIMIT,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> SolveResult:
     """Search for a quasi-saw model of ``f`` in the given frame class,
     up to the given bounds.  UnsatUpTo never claims unsatisfiability
@@ -635,7 +627,7 @@ def solve(
     if cls not in classify_frame(model.frame):
         raise RuntimeError("internal error: model leaves the requested frame class")
     result = Sat(model, cls)
-    if not verify(result, f, oracle_cap=oracle_cap):
+    if not verify(result, f):
         raise RuntimeError("internal error: candidate model failed verification")
     return result
 
@@ -666,17 +658,15 @@ def solve_rcp3(
     return solve(to_bullet(f), FrameClass.CON_2QS, bounds, work_limit)
 
 
-def verify(
-    result: SolveResult, f: Formula, oracle_cap: int = DEFAULT_ORACLE_CAP
-) -> bool:
+def verify(result: SolveResult, f: Formula) -> bool:
     """Re-evaluate a Sat certificate with the trace semantics and, when
     the frame is small enough, the brute-force oracle."""
     if not isinstance(result, Sat):
         raise ValueError("verify expects a Sat result")
     model = result.model
     ok = check(model, f)
-    if len(model.frame.w0) + len(model.frame.w1) <= oracle_cap:
-        ok = ok and oracle_check(model, f, cap=oracle_cap)
+    if len(model.frame.w0) + len(model.frame.w1) <= DEFAULT_ORACLE_CAP:
+        ok = ok and oracle_check(model, f)
     return ok
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 # A leading underscore is reserved for machine-generated variables (the
 # documented source grammar starts identifiers with a letter).
@@ -444,24 +444,22 @@ def nnf(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def default_fresh(prefix: str = "_f") -> Callable[[], str]:
-    """Monotone fresh-name generator; the leading underscore is reserved
-    for generated names and cannot collide with user identifiers written
-    in the concrete syntax."""
+def default_fresh() -> Callable[[], str]:
+    """Monotone fresh-name generator of ``_f0``, ``_f1``, ...; the
+    leading underscore is reserved for generated names and cannot collide
+    with user identifiers written in the concrete syntax."""
     counter = 0
 
     def fresh() -> str:
         nonlocal counter
-        name = f"{prefix}{counter}"
+        name = f"_f{counter}"
         counter += 1
         return name
 
     return fresh
 
 
-def eliminate_contact(
-    f: Formula, fresh: Optional[Callable[[], str]] = None
-) -> Formula:
+def eliminate_contact(f: Formula) -> Formula:
     """Rewrite negative contact literals into connectedness literals.
 
     Each literal !C(t1, t2) becomes, with fresh padding variables r and s,
@@ -480,15 +478,14 @@ def eliminate_contact(
     report = polarity(f)
     if report.contact in (Polarity.ALL_POSITIVE, Polarity.MIXED):
         raise ValueError("eliminate_contact requires all contact atoms negative")
-    if fresh is None:
-        used = set(variables(f))
-        base = default_fresh()
+    used = set(variables(f))
+    base = default_fresh()
 
-        def fresh() -> str:
+    def fresh() -> str:
+        name = base()
+        while name in used:
             name = base()
-            while name in used:
-                name = base()
-            return name
+        return name
 
     def walk(g: Formula) -> Formula:
         if isinstance(g, Not) and isinstance(g.arg, AtomF) and isinstance(

@@ -298,3 +298,42 @@ def test_malformed_json_inputs_are_usage_errors(capsys, tmp_path, args):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _json_reader_argv(reader: str, path, tmp_path) -> list[str]:
+    if reader == "instance":
+        return ["gen", "pcp", "--instance", str(path)]
+    formula = tmp_path / "f.fml"
+    formula.write_text("c(a)")
+    return ["eval", f"--{reader}", str(path), str(formula)]
+
+
+def test_invalid_json_is_reported_with_its_position(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text("{'regions': {}}")
+    for reader in ("model", "scene", "instance"):
+        code, out, err = run(capsys, *_json_reader_argv(reader, path, tmp_path))
+        assert (code, out, err) == (2, "", f"error: {path}:1:2: invalid JSON\n"), reader
+
+
+@pytest.mark.parametrize("reader", ["model", "scene", "instance"])
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path, reader):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, *_json_reader_argv(reader, path, tmp_path))
+    assert (code, out, err) == (2, "", f"error: {path}: JSON nested too deeply\n")
+
+
+@pytest.mark.parametrize(
+    "reader, data, message",
+    [
+        ("model", [], "model file must be a JSON object"),
+        ("instance", [], "instance file must be a JSON object"),
+    ],
+    ids=["model", "instance"],
+)
+def test_structure_errors_name_the_file(capsys, tmp_path, reader, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *_json_reader_argv(reader, path, tmp_path))
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")

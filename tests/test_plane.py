@@ -303,6 +303,21 @@ def test_induced_quasisaw_star_shape():
     assert all(len(succ) == 2 for _, succ in model.frame.w1)
 
 
+@pytest.mark.parametrize("regions", [{}, {"e": []}], ids=["no-regions", "empty-region"])
+def test_empty_scene_is_one_unbounded_face(regions):
+    arr = build_arrangement(PlaneScene.make(regions))
+    assert [(f.index, f.bounded, f.rep) for f in arr.faces] == [(0, False, None)]
+    assert arr.vertices == [] and arr.edges == []
+    assert arr.region_masks == {name: 0 for name in regions}
+    full = arr.full_set()
+    assert full.mask == 1
+    assert fs_connected(full) and fs_interior_connected(full)
+    assert plane_eval(arr, parse("c(1) & ci(1) & 1 != 0"))
+    model = induced_quasisaw(arr)
+    assert model.frame.w0 == ("f0",) and model.frame.w1 == ()
+    assert all(not trace for trace in model.traces.values())
+
+
 def test_scene_json_roundtrip(three_squares):
     data = scene_to_json(three_squares)
     again = scene_from_json(data)

@@ -83,7 +83,16 @@ def test_wiggly_unsat_over_two_successor_frames():
     result = solve_rcp3(WIGGLY, Bounds(6, 8))
     assert isinstance(result, UnsatUpTo)
     assert result.bounds == Bounds(6, 8)
-    assert result.frames_examined > 0
+    assert result.frames_examined == 501169
+
+
+def test_negative_connectedness_work_is_pinned():
+    """wiggly's negative connectedness literals make the family search
+    branch over bipartitions; the work it spends at (5, 8) is pinned, so
+    any change to that search's pruning or charging shows here."""
+    result = solve_rcp3(WIGGLY, Bounds(5, 8))
+    assert isinstance(result, UnsatUpTo)
+    assert result.frames_examined == 62258
 
 
 def test_contradiction_unsat():
