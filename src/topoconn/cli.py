@@ -16,11 +16,13 @@ from typing import Callable, Optional
 from . import constructions
 from .parser import ParseError, parse
 from .plane import (
+    PlaneScene,
     SceneError,
     UnboundRegionError,
     plane_check,
     rcc8,
     scene_from_json,
+    validate_scene,
 )
 from .quasisaw import (
     FrameClass,
@@ -103,6 +105,14 @@ def _read_json(path: str, loader: Callable[[object], object]):
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _scene_from_json(data: object) -> PlaneScene:
+    """A scene read from JSON and validated, so that ``_read_json`` names
+    the file in every error it finds."""
+    scene = scene_from_json(data)
+    validate_scene(scene)
+    return scene
+
+
 def _emit(payload: dict, as_json: bool, text: str) -> None:
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -180,7 +190,7 @@ def _cmd_eval(args) -> int:
     if args.model is not None:
         value = check(_read_json(args.model, model_from_json), f)
     else:
-        value = plane_check(_read_json(args.scene, scene_from_json), f)
+        value = plane_check(_read_json(args.scene, _scene_from_json), f)
     _emit({"verdict": value}, args.json, "true" if value else "false")
     return _verdict_exit(value)
 
@@ -212,13 +222,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_rcc8(args) -> int:
-    rel = rcc8(_read_json(args.scene, scene_from_json), args.a, args.b)
+    rel = rcc8(_read_json(args.scene, _scene_from_json), args.a, args.b)
     _emit({"relation": rel.value}, args.json, rel.value)
     return EXIT_TRUE
 
 
 def _cmd_render(args) -> int:
-    svg = to_svg(_read_json(args.scene, scene_from_json))
+    svg = to_svg(_read_json(args.scene, _scene_from_json))
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svg)

@@ -35,6 +35,14 @@ rings.  Exact rationals are produced only for the returned vertices and
 representative points.  Nothing is ever rounded, so coincident geometry
 is detected exactly and regularization (dropping lower-dimensional
 intersections) is implicit in the face representation.
+
+A face's point lies halfway along a probe from the midpoint of a boundary
+edge into the face, up to the probe's first hit.  The hole cycles (one
+per connected component of the edges) are probed against every edge and
+assigned to the faces around them first; a bounded face is then probed
+against its own boundary only, its outer cycle and its hole cycles,
+because the probe stays inside the face up to that first hit, which
+therefore lies on the face's boundary: both probes find the same minimum.
 """
 
 from __future__ import annotations
@@ -626,19 +634,22 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
                 cur = next_halfedge(cur)
             cycles.append(cyc)
 
-    def cycle_rep(cyc: list[tuple[int, int]]) -> tuple[int, int, int]:
-        # probe leftward from the midpoint of the first half-edge; the
-        # nearest obstruction bounds the face, so half that distance is
-        # strictly interior.  Doubled coordinates keep everything integer,
-        # the minimum is tracked as a fraction pair, and the point is
-        # returned in homogeneous form (X, Y, W) with W > 0.
+    def cycle_rep(
+        cyc: list[tuple[int, int]], probe: Iterable[tuple[int, int]]
+    ) -> tuple[int, int, int]:
+        # probe leftward from the midpoint of the first half-edge against
+        # the edges in ``probe``; the nearest obstruction bounds the face,
+        # so half that distance is strictly interior.  Doubled coordinates
+        # keep everything integer, the minimum is tracked as a fraction
+        # pair, and the point is returned in homogeneous form (X, Y, W)
+        # with W > 0.
         u, v = cyc[0]
         a, b = vertices[u], vertices[v]
         mx2, my2 = a[0] + b[0], a[1] + b[1]
         nx, ny = a[1] - b[1], b[0] - a[0]  # left normal of a->b
         best_n, best_d = 1, 1  # no obstruction: stop the probe at t = 1
         found = False
-        for p_idx, q_idx in edges:
+        for p_idx, q_idx in probe:
             p, q = vertices[p_idx], vertices[q_idx]
             sx, sy = q[0] - p[0], q[1] - p[1]
             denom2 = 2 * (nx * sy - ny * sx)
@@ -668,18 +679,20 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
 
     cycle_rings = [[vertices[u] for u, _ in cyc] for cyc in cycles]
     areas = [_area2(ring) for ring in cycle_rings]
-    reps = [cycle_rep(c) for c in cycles]
 
     # bounded faces in cycle discovery order; every other cycle is a hole
     # boundary of the smallest bounded face around it, or of the
-    # unbounded face
+    # unbounded face; a hole cycle's point is probed against every edge
     positive = [i for i, a2 in enumerate(areas) if a2 > 0]
     face_of_cycle = {ci: fi for fi, ci in enumerate(positive)}
     unbounded = len(positive)
+    # per bounded face, the half-edges of its boundary: its outer cycle
+    # and the hole cycles it owns
+    boundary = [list(cycles[ci]) for ci in positive]
     for ci, a2 in enumerate(areas):
         if a2 > 0:
             continue
-        x, y, w = reps[ci]
+        x, y, w = cycle_rep(cycles[ci], edges)
         owner, owner_area = unbounded, 0
         for pci in positive:
             if (not owner_area or areas[pci] < owner_area) and _point_in_ring_h(
@@ -687,6 +700,13 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
             ):
                 owner, owner_area = face_of_cycle[pci], areas[pci]
         face_of_cycle[ci] = owner
+        if owner != unbounded:
+            boundary[owner] += cycles[ci]
+
+    # a bounded face's probe runs inside the face up to its first hit,
+    # which lies on the face's boundary: probing that boundary alone
+    # finds the same nearest hit
+    face_reps = [cycle_rep(cycles[ci], boundary[fi]) for fi, ci in enumerate(positive)]
 
     # incidences as face masks: half-edge (u, v) puts its face at edge
     # {u, v} and at vertex u
@@ -698,7 +718,6 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
 
     # region membership of every bounded face's point, with a bounding-box
     # prefilter per polygon
-    face_reps = [reps[ci] for ci in positive]
     region_masks = {}
     for name, polys in regions:
         mask = 0

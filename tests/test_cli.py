@@ -337,3 +337,22 @@ def test_structure_errors_name_the_file(capsys, tmp_path, reader, data, message)
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, *_json_reader_argv(reader, path, tmp_path))
     assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("verb", ["eval", "rcc8", "render"])
+def test_invalid_scenes_are_rejected_naming_the_file(capsys, tmp_path, verb):
+    # a bow-tie ring: well-formed JSON, but not a simple polygon
+    path = tmp_path / "bow.json"
+    path.write_text(json.dumps({"regions": {"r": [{"outer": [[0, 0], [1, 1], [1, 0], [0, 1]]}]}}))
+    formula = tmp_path / "f.fml"
+    formula.write_text("c(r)")
+    svg = tmp_path / "bow.svg"
+    argv = {
+        "eval": ["eval", "--scene", str(path), str(formula)],
+        "rcc8": ["rcc8", "--scene", str(path), "r", "r"],
+        "render": ["render", "--scene", str(path), "-o", str(svg)],
+    }[verb]
+    code, out, err = run(capsys, *argv)
+    message = f"error: {path}: region r, polygon 0, outer ring: ring has zero area\n"
+    assert (code, out, err) == (2, "", message)
+    assert not svg.exists()

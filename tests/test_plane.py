@@ -3,6 +3,7 @@ import json
 import random
 import weakref
 from fractions import Fraction
+from functools import cmp_to_key
 from math import lcm
 from pathlib import Path
 
@@ -469,9 +470,12 @@ def test_plane_does_not_use_the_quasisaw_core():
 
 
 def test_geometry_matches_golden():
-    """Vertices, face points and region faces of three scenes, recorded
-    as exact rationals: a fractional onion with holes, a separator gadget
-    and two rectangles whose crossings are off the integer grid."""
+    """Vertices, face points and region faces of four scenes, recorded
+    as exact rationals: a fractional onion with holes, a separator gadget,
+    two rectangles whose crossings are off the integer grid, and islands
+    in holes (a face whose point probe meets an island first, a face with
+    two islands of which one holds a holed island, a region made only of
+    a hole's inside)."""
     golden = json.loads(GOLDEN.read_text())
     gadget = golden["k5m separator"]
     built = k5m_separator(scene_from_json(gadget["base"]), "b1", "b2", gadget["curve"])
@@ -488,6 +492,121 @@ def test_geometry_matches_golden():
         coords = [c for v in arr.vertices for c in v]
         coords += [c for f in arr.faces if f.rep for c in f.rep]
         assert all(type(c) is int or c.denominator > 1 for c in coords), name
+
+
+def _random_polygons(rng: random.Random) -> list[Polygon]:
+    """Rectangles with fractional corners, holed squares (some with an
+    island in the hole) and triangles with rational vertices."""
+    x0 = Fraction(rng.randint(0, 30), rng.randint(1, 3))
+    y0 = Fraction(rng.randint(0, 30), rng.randint(1, 3))
+    kind = rng.choice(["rect", "holed", "triangle"])
+    if kind == "rect":
+        return [
+            rect(
+                x0, y0,
+                x0 + Fraction(rng.randint(1, 24), rng.randint(1, 3)),
+                y0 + Fraction(rng.randint(1, 24), rng.randint(1, 3)),
+            )
+        ]
+    if kind == "holed":
+        s, d = rng.randint(6, 24), Fraction(rng.randint(1, 5), rng.randint(2, 3))
+        outer = Ring(((x0, y0), (x0 + s, y0), (x0 + s, y0 + s), (x0, y0 + s)))
+        hole = Ring(
+            ((x0 + d, y0 + d), (x0 + s - d, y0 + d), (x0 + s - d, y0 + s - d), (x0 + d, y0 + s - d))
+        )
+        polys = [Polygon(outer, (hole,))]
+        if rng.random() < 0.5 and s - 2 * d > 2:
+            polys.append(rect(x0 + d + 1, y0 + d + 1, x0 + s - d - 1, y0 + s - d - 1))
+        return polys
+    while True:
+        pts = [
+            (x0 + Fraction(rng.randint(-15, 15), rng.randint(1, 3)),
+             y0 + Fraction(rng.randint(-15, 15), rng.randint(1, 3)))
+            for _ in range(3)
+        ]
+        (ax, ay), (bx, by), (cx, cy) = pts
+        if (bx - ax) * (cy - ay) != (by - ay) * (cx - ax):
+            return [Polygon(Ring(tuple(pts)))]
+
+
+def _reference_reps(arr) -> list:
+    """The point of every bounded face as a probe against every edge finds
+    it, from the arrangement's vertices and edges alone, in rationals.
+
+    The half-edge cycles are rebuilt as the arrangement defines them:
+    outgoing edges sorted counterclockwise from +x, the successor of
+    (u, v) leaving v clockwise next to (v, u), cycles discovered from the
+    vertices in index order.  The cycles of positive area are the bounded
+    faces, in that order.  A face's point lies halfway from the midpoint m
+    of its cycle's first half-edge to the nearest point where any edge
+    meets the ray from m along the half-edge's left normal.  Coordinates
+    are scaled to even integers first, so that m is integral too."""
+    g = 2 * lcm(*(Fraction(c).denominator for v in arr.vertices for c in v))
+    vs = [(int(x * g), int(y * g)) for x, y in arr.vertices]
+    out: dict[int, list[int]] = {}
+    for u, v in arr.edges:
+        out.setdefault(u, []).append(v)
+        out.setdefault(v, []).append(u)
+
+    def ccw(u):
+        def cmp(v1, v2):
+            d1 = (vs[v1][0] - vs[u][0], vs[v1][1] - vs[u][1])
+            d2 = (vs[v2][0] - vs[u][0], vs[v2][1] - vs[u][1])
+            h1, h2 = (d[1] < 0 or (d[1] == 0 and d[0] < 0) for d in (d1, d2))
+            return h1 - h2 or (d2[0] * d1[1] > d1[0] * d2[1]) - (d1[0] * d2[1] > d2[0] * d1[1])
+
+        return cmp
+
+    for u in out:
+        out[u].sort(key=cmp_to_key(ccw(u)))
+    seen, reps = set(), []
+    for u in sorted(out):
+        for v in out[u]:
+            if (u, v) in seen:
+                continue
+            cyc, h = [], (u, v)
+            while h not in seen:
+                seen.add(h)
+                cyc.append(h)
+                targets = out[h[1]]
+                h = (h[1], targets[targets.index(h[0]) - 1])
+            ring = [vs[a] for a, _ in cyc]
+            if sum(ring[i - 1][0] * y - x * ring[i - 1][1] for i, (x, y) in enumerate(ring)) <= 0:
+                continue
+            (ax, ay), (bx, by) = vs[cyc[0][0]], vs[cyc[0][1]]
+            m = ((ax + bx) // 2, (ay + by) // 2)
+            n = (ay - by, bx - ax)
+            hits = []
+            for p, q in ((vs[i], vs[j]) for i, j in arr.edges):
+                s = (q[0] - p[0], q[1] - p[1])
+                d = (p[0] - m[0], p[1] - m[1])
+                den = n[0] * s[1] - n[1] * s[0]
+                if den:
+                    # m + t n = p + w s with t = tn / |den| and w = wn / |den|
+                    sign = 1 if den > 0 else -1
+                    tn = sign * (d[0] * s[1] - d[1] * s[0])
+                    wn = sign * (d[0] * n[1] - d[1] * n[0])
+                    if tn > 0 and 0 <= wn <= abs(den):
+                        hits.append(Fraction(tn, abs(den)))
+                elif d[0] * n[1] == d[1] * n[0]:  # the edge lies on the ray's line
+                    for c in (p, q):
+                        t = Fraction((c[0] - m[0]) * n[0] + (c[1] - m[1]) * n[1], n[0] ** 2 + n[1] ** 2)
+                        if t > 0:
+                            hits.append(t)
+            t = min(hits) / 2
+            reps.append(((m[0] + t * n[0]) / g, (m[1] + t * n[1]) / g))
+    return reps
+
+
+def test_face_points_match_an_all_edges_probe():
+    for seed in range(200):
+        rng = random.Random(seed)
+        scene = PlaneScene.make(
+            {f"r{i}": [p for _ in range(rng.randint(1, 3)) for p in _random_polygons(rng)]
+             for i in range(rng.randint(1, 3))}
+        )
+        arr = build_arrangement(scene)
+        assert [f.rep for f in arr.faces] == _reference_reps(arr) + [None], seed
 
 
 def _even_odd(p, ring) -> bool:

@@ -35,3 +35,22 @@ def test_no_unused_imports(path):
         f"{name} (line {line})" for name, line in _imported_names(tree) if name not in used
     ]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_plane_kernel_has_no_floats():
+    """The plane kernel is exact: no true division, no float conversion
+    or rounding, and no float literal anywhere in ``plane.py``."""
+    tree = ast.parse((SRC / "plane.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"'/' (line {node.lineno})")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("float", "round")
+        ):
+            found.append(f"{node.func.id}(...) (line {node.lineno})")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"{node.value!r} (line {node.lineno})")
+    assert not found, f"plane.py leaves exact arithmetic: {', '.join(found)}"
