@@ -16,10 +16,12 @@ from typing import Callable, Optional
 from . import constructions
 from .parser import ParseError, parse
 from .plane import (
+    Arrangement,
     PlaneScene,
     SceneError,
     UnboundRegionError,
-    plane_check,
+    build_arrangement,
+    plane_eval,
     rcc8,
     scene_from_json,
     validate_scene,
@@ -113,6 +115,12 @@ def _scene_from_json(data: object) -> PlaneScene:
     return scene
 
 
+def _arrangement_from_json(data: object) -> Arrangement:
+    """The arrangement of a scene read from JSON; ``build_arrangement``
+    validates the scene, once, inside ``_read_json``."""
+    return build_arrangement(scene_from_json(data))
+
+
 def _emit(payload: dict, as_json: bool, text: str) -> None:
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -190,7 +198,7 @@ def _cmd_eval(args) -> int:
     if args.model is not None:
         value = check(_read_json(args.model, model_from_json), f)
     else:
-        value = plane_check(_read_json(args.scene, _scene_from_json), f)
+        value = plane_eval(_read_json(args.scene, _arrangement_from_json), f)
     _emit({"verdict": value}, args.json, "true" if value else "false")
     return _verdict_exit(value)
 
@@ -222,7 +230,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_rcc8(args) -> int:
-    rel = rcc8(_read_json(args.scene, _scene_from_json), args.a, args.b)
+    rel = rcc8(_read_json(args.scene, _arrangement_from_json), args.a, args.b)
     _emit({"relation": rel.value}, args.json, rel.value)
     return EXIT_TRUE
 

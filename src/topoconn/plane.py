@@ -16,9 +16,11 @@ connectivity question:
   implies sharing its endpoints), so connectedness of a face set is
   connectivity of its touch graph, and its components are that graph's;
 * an arrangement edge lies in the interior of a face set iff both its
-  sides do, and a vertex iff every face around it does, which yields
-  interior-connectedness;
-* contact of two face sets is a shared face or a shared boundary vertex;
+  sides do, and a vertex iff every face around it does; the vertices
+  add no link that the edges do not give, so interior-connectedness is
+  connectivity over two-sided edges;
+* contact of two face sets is a shared face or a shared boundary vertex,
+  that is a face of one that touches a face of the other;
 * a component graph is a tree iff it has one edge fewer than nodes and
   one component.
 
@@ -461,9 +463,12 @@ class Arrangement:
     region_masks: dict[str, int] = field(default_factory=dict)
     # per face the faces it touches (shares a vertex with), as face masks
     _touch: list[int] = field(init=False, repr=False)
+    # per face the faces across its two-sided edges, as face masks
+    _across: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._touch = _adjacency(len(self.faces), self.vertex_masks)
+        self._across = _adjacency(len(self.faces), self.edge_masks)
 
     @property
     def region_sets(self) -> Mapping[str, "FaceSet"]:
@@ -761,17 +766,32 @@ def fs_connected(a: FaceSet) -> bool:
 
 
 def fs_interior_connected(a: FaceSet) -> bool:
-    """Faces are joined through the vertices and two-sided edges that lie
-    wholly inside the set."""
-    arr, outside = a.arr, ~a.mask
-    inner = [m for m in arr.edge_masks + arr.vertex_masks if not m & outside]
-    return len(_components(a.mask, _adjacency(len(arr.faces), inner))) <= 1
+    """Whether the interior of the set is connected, decided over the
+    two-sided edges between its faces alone.
+
+    The interior is the union of the set's open faces, the open edges
+    with both sides in the set and the vertices with every face around
+    them in the set, so its faces are joined through those edges and
+    vertices.  The vertices add no link: if every face around a vertex
+    lies in the set, then consecutive faces around it share an edge at
+    the vertex, both sides of that edge lie in the set, and a chain of
+    such edges already joins all the faces around the vertex.  A
+    one-sided edge has a single face, so it links nothing."""
+    return len(_components(a.mask, a.arr._across)) <= 1
 
 
 def fs_contact(a: FaceSet, b: FaceSet) -> bool:
+    """A shared face, or a face of one touching a face of the other; the
+    first test also covers the unbounded face of an empty scene, which
+    has no vertex and so touches nothing."""
     _require_same_arrangement(a, b)
     am, bm = a.mask, b.mask
-    return bool(am & bm) or any(vm & am and vm & bm for vm in a.arr.vertex_masks)
+    if am & bm:
+        return True
+    if am.bit_count() > bm.bit_count():
+        am, bm = bm, am
+    touch = a.arr._touch
+    return any(touch[f] & bm for f in _bits(am))
 
 
 def fs_components(a: FaceSet) -> list[FaceSet]:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import topoconn.cli as cli_module
+import topoconn.plane as plane_module
 from topoconn.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -356,3 +358,25 @@ def test_invalid_scenes_are_rejected_naming_the_file(capsys, tmp_path, verb):
     message = f"error: {path}: region r, polygon 0, outer ring: ring has zero area\n"
     assert (code, out, err) == (2, "", message)
     assert not svg.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--scene", str(DATA / "three_squares.json"), str(DATA / "eq1.fml")],
+        ["rcc8", "--scene", str(DATA / "three_squares.json"), "r1", "r2"],
+    ],
+    ids=["eval", "rcc8"],
+)
+def test_scene_verbs_validate_once(capsys, monkeypatch, argv):
+    calls = []
+    original = plane_module.validate_scene
+
+    def counting(scene):
+        calls.append(scene)
+        return original(scene)
+
+    monkeypatch.setattr(plane_module, "validate_scene", counting)
+    monkeypatch.setattr(cli_module, "validate_scene", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and len(calls) == 1

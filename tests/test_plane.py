@@ -17,6 +17,7 @@ from topoconn.constructions import k5m_separator
 from topoconn.plane import (
     ArrangementMismatchError,
     ComponentGraph,
+    FaceSet,
     PlaneScene,
     Polygon,
     Rcc8Relation,
@@ -177,6 +178,14 @@ def test_contact_examples():
     arr2 = build_arrangement(ec)
     assert fs_contact(arr2.region_sets["a"], arr2.region_sets["b"])
     assert not fs_product(arr2.region_sets["a"], arr2.region_sets["b"]).faces
+    # squares that meet only at a corner share a vertex and no edge; the
+    # larger operand on either side
+    corner = PlaneScene.make({"a": [rect(0, 0, 1, 1)], "b": [rect(1, 1, 2, 2)]})
+    arr3 = build_arrangement(corner)
+    a, b = arr3.region_sets["a"], arr3.region_sets["b"]
+    outer = fs_complement(fs_sum(a, b))
+    for x, y in ((a, b), (b, a), (a, fs_sum(b, outer)), (fs_sum(b, outer), a)):
+        assert fs_contact(x, y)
 
 
 def test_plane_check_examples(three_squares):
@@ -313,7 +322,9 @@ def test_empty_scene_is_one_unbounded_face(regions):
     full = arr.full_set()
     assert full.mask == 1
     assert fs_connected(full) and fs_interior_connected(full)
-    assert plane_eval(arr, parse("c(1) & ci(1) & 1 != 0"))
+    # the unbounded face has no vertex here: contact is the shared face
+    assert fs_contact(full, full) and not fs_contact(full, arr.empty_set())
+    assert plane_eval(arr, parse("c(1) & ci(1) & 1 != 0 & C(1, 1)"))
     model = induced_quasisaw(arr)
     assert model.frame.w0 == ("f0",) and model.frame.w1 == ()
     assert all(not trace for trace in model.traces.values())
@@ -402,12 +413,66 @@ def test_face_set_predicates_match_induced_quasisaw():
             s = qs.rc_expand(frame, {f"f{f}" for f in fs.faces})
             assert fs_connected(fs) == qs.is_connected(s)
             assert fs_interior_connected(fs) == qs.is_interior_connected(s)
+            other = arr.face_set(f for f in range(len(arr.faces)) if rng.random() < 0.3)
+            t = qs.rc_expand(frame, {f"f{f}" for f in other.faces})
+            assert fs_contact(fs, other) == qs.contact(s, t)
+            assert fs_contact(other, fs) == qs.contact(s, t)
             expected = [
                 {int(x[1:]) for x in comp if x in frame.w0} for comp in qs.components(s)
             ]
             assert sorted(map(sorted, expected)) == sorted(
                 sorted(c.faces) for c in fs_components(fs)
             )
+
+
+def _ci_over_edges_and_vertices(fs) -> bool:
+    """Interior-connectedness by definition: faces joined through the
+    edges and the vertices that lie wholly inside the set."""
+    arr, outside = fs.arr, ~fs.mask
+    inner = [m for m in arr.edge_masks + arr.vertex_masks if not m & outside]
+    adj = plane_module._adjacency(len(arr.faces), inner)
+    return len(plane_module._components(fs.mask, adj)) <= 1
+
+
+def _checkerboard(n: int) -> PlaneScene:
+    cells = {0: [], 1: []}
+    for i in range(n):
+        for j in range(n):
+            cells[(i + j) % 2].append(rect(i, j, i + 1, j + 1))
+    return PlaneScene.make({"b": cells[0], "w": cells[1]})
+
+
+def test_interior_connected_matches_the_vertex_and_edge_definition():
+    rng = random.Random(46)
+    scenes = [random_rect_scene(rng, ("p", "q", "w"), span=6) for _ in range(25)]
+    for arr in map(build_arrangement, scenes + [_checkerboard(3), _checkerboard(4)]):
+        n = len(arr.faces)
+        sets = list(arr.region_sets.values()) + [arr.full_set(), arr.empty_set()]
+        sets += [FaceSet(arr, rng.getrandbits(n)) for _ in range(30)]
+        sets += [fs_complement(fs) for fs in sets]
+        for fs in sets:
+            assert fs_interior_connected(fs) == _ci_over_edges_and_vertices(fs), fs.faces
+
+
+def test_checkerboard_faces_meet_only_at_vertices():
+    arr = build_arrangement(_checkerboard(3))
+    black, white = arr.region_sets["b"], arr.region_sets["w"]
+    outer = fs_complement(fs_sum(black, white))
+    assert fs_connected(black) and not fs_interior_connected(black)
+    assert fs_connected(white) and not fs_interior_connected(white)
+    assert fs_interior_connected(fs_sum(black, white))
+    assert fs_interior_connected(fs_sum(white, outer))
+    assert not fs_interior_connected(fs_sum(black, outer))
+    assert fs_contact(black, white) and fs_contact(black, outer)
+    # the white cells left of and below the centre meet at one corner
+    cell = {
+        (int(f.rep[0]), int(f.rep[1])): arr.face_set([f.index])
+        for f in arr.faces
+        if f.bounded
+    }
+    left, below = cell[0, 1], cell[1, 0]
+    assert fs_contact(left, below) and not fs_interior_connected(fs_sum(left, below))
+    assert not fs_contact(left, cell[2, 1])
 
 
 def test_face_sets_and_component_graphs_are_hashable(three_squares):

@@ -54,3 +54,24 @@ def test_plane_kernel_has_no_floats():
         elif isinstance(node, ast.Constant) and isinstance(node.value, float):
             found.append(f"{node.value!r} (line {node.lineno})")
     assert not found, f"plane.py leaves exact arithmetic: {', '.join(found)}"
+
+
+def test_plane_builds_adjacency_only_once_per_arrangement():
+    """The read side of ``plane.py`` answers every query from neighbour
+    masks built with the arrangement: ``_adjacency`` is used only where
+    an arrangement is set up and by ``is_tree`` on its own small graph."""
+    tree = ast.parse((SRC / "plane.py").read_text(encoding="utf-8"))
+    allowed = {"Arrangement.__post_init__", "is_tree"}
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == "_adjacency" and scope not in allowed:
+                found.append(f"{scope or '<module>'} (line {child.lineno})")
+            visit(child, scope)
+
+    visit(tree, "")
+    assert not found, f"plane.py builds adjacency outside set-up: {', '.join(found)}"
