@@ -22,13 +22,15 @@ from .plane import (
     PlaneScene,
     Point,
     Polygon,
+    Rational,
     Ring,
     SceneError,
-    _as_fraction,
+    _rational,
     _segments_share_point,
     _validate_ring,
     point_in_polygon,
     point_in_region,
+    ring_from,
 )
 from .syntax import (
     And,
@@ -566,17 +568,6 @@ def pcp_from_json(data: dict) -> PcpInstance:
     return PcpInstance.make(data["tiles"], data["letters"], data["w1"], data["w2"])
 
 
-def pcp_to_json(inst: PcpInstance) -> dict:
-    return {
-        "tiles": list(inst.tiles),
-        "letters": list(inst.letters),
-        "w1": {tile: "".join(w) if all(len(s) == 1 for s in w) else list(w)
-               for tile, w in inst.word1},
-        "w2": {tile: "".join(w) if all(len(s) == 1 for s in w) else list(w)
-               for tile, w in inst.word2},
-    }
-
-
 def phi_pcp(inst: PcpInstance) -> Formula:
     """Constraint system that is satisfiable over polygons exactly when
     the instance has a matching tile word.
@@ -765,7 +756,7 @@ def _pt_seg_d2(p: Point, a: Point, b: Point) -> Fraction:
     ab = (b[0] - a[0], b[1] - a[1])
     ap = (p[0] - a[0], p[1] - a[1])
     denom = ab[0] * ab[0] + ab[1] * ab[1]
-    t = (ap[0] * ab[0] + ap[1] * ab[1]) / denom
+    t = Fraction(ap[0] * ab[0] + ap[1] * ab[1], denom)
     t = max(Fraction(0), min(Fraction(1), t))
     dx = ap[0] - t * ab[0]
     dy = ap[1] - t * ab[1]
@@ -782,7 +773,7 @@ def _seg_seg_d2(s1: tuple[Point, Point], s2: tuple[Point, Point]) -> Fraction:
     )
 
 
-def _sqrt_lower_bound(d2: Fraction) -> Fraction:
+def _sqrt_lower_bound(d2: Rational) -> Fraction:
     """Exact rational lower bound on sqrt(d2)."""
     scale = 1 << 32
     return Fraction(isqrt(d2.numerator * scale * scale // d2.denominator), scale)
@@ -805,7 +796,7 @@ def k5m_separator(
     it stays polygonal.  The result satisfies the five-region gadget
     with b1 inside a1 and b2 inside a2.
     """
-    pts = [(_as_fraction(c[0]), _as_fraction(c[1])) for c in curve]
+    pts = [(_rational(c[0]), _rational(c[1])) for c in curve]
     if len(pts) < 4:
         raise SceneError("separator curve needs at least 4 vertices")
     ring = Ring(tuple(pts))
@@ -866,7 +857,7 @@ def k5m_separator(
     min_edge2 = min(
         (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 for a, b in edges
     )
-    delta = _sqrt_lower_bound(min(clearance2, self_gap2, min_edge2)) / 4
+    delta = Fraction(_sqrt_lower_bound(min(clearance2, self_gap2, min_edge2)), 4)
     if delta <= 0:
         raise SceneError("no clearance left for the annulus")
 
@@ -900,7 +891,7 @@ def k5m_separator(
     cuts = []
     for ei in cut_edges:
         a, b = edges[ei]
-        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+        mid = (Fraction(a[0] + b[0], 2), Fraction(a[1] + b[1], 2))
         n = normals[ei]
         cuts.append(
             (
@@ -922,7 +913,7 @@ def k5m_separator(
             i = (i + 1) % m
         ring_pts = [out1] + [outer_ring[i] for i in idx] + [out2]
         ring_pts += [in2] + [inner_ring[i] for i in reversed(idx)] + [in1]
-        return Polygon(Ring(tuple(ring_pts)))
+        return Polygon(ring_from(ring_pts))
 
     arcs = [
         arc_polygon(cuts[0], cuts[1]),
@@ -930,7 +921,7 @@ def k5m_separator(
         arc_polygon(cuts[2], cuts[0]),
     ]
 
-    inner_disc = Polygon(Ring(tuple(inner_ring)))
+    inner_disc = Polygon(ring_from(inner_ring))
     xs = [p[0] for p in verts] + [
         v[0] for polys in (b1_polys, b2_polys) for poly in polys
         for r in poly.rings() for v in r.vertices
@@ -939,8 +930,8 @@ def k5m_separator(
         v[1] for polys in (b1_polys, b2_polys) for poly in polys
         for r in poly.rings() for v in r.vertices
     ]
-    pad = max(Fraction(1), (max(xs) - min(xs) + max(ys) - min(ys)) / 10)
-    box = Ring(
+    pad = max(Fraction(1), Fraction(max(xs) - min(xs) + max(ys) - min(ys), 10))
+    box = ring_from(
         (
             (min(xs) - pad, min(ys) - pad),
             (max(xs) + pad, min(ys) - pad),
@@ -948,7 +939,7 @@ def k5m_separator(
             (min(xs) - pad, max(ys) + pad),
         )
     )
-    outside = Polygon(box, (Ring(tuple(outer_ring)),))
+    outside = Polygon(box, (ring_from(outer_ring),))
 
     if b1_inside:
         a1_polys, a2_polys = [inner_disc], [outside]

@@ -36,7 +36,9 @@ with ``W > 0``, which one point-in-ring test decides against integer
 rings.  Exact rationals are produced only for the returned vertices and
 representative points.  Nothing is ever rounded, so coincident geometry
 is detected exactly and regularization (dropping lower-dimensional
-intersections) is implicit in the face representation.
+intersections) is implicit in the face representation.  A scene
+coordinate is an ``int`` when integral and a ``Fraction`` otherwise, the
+same as the returned vertices and face points.
 
 A face's point lies halfway along a probe from the midpoint of a boundary
 edge into the face, up to the probe's first hit.  The hole cycles (one
@@ -82,7 +84,9 @@ from .syntax import (
     term_sum,
 )
 
-Point = tuple[Fraction, Fraction]
+# an exact coordinate: an int when integral, a Fraction otherwise
+Rational = Union[int, Fraction]
+Point = tuple[Rational, Rational]
 IntPoint = tuple[int, int]
 
 
@@ -107,19 +111,21 @@ class UnboundRegionError(KeyError):
 def _as_point(xy: Sequence) -> Point:
     if not isinstance(xy, (list, tuple)) or len(xy) != 2:
         raise SceneError(f"coordinate pair expected, got {xy!r}")
-    return (_as_fraction(xy[0]), _as_fraction(xy[1]))
+    return (_rational(xy[0]), _rational(xy[1]))
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
+def _rational(v) -> Rational:
+    """A coordinate in its canonical exact form: an int when integral, a
+    Fraction otherwise."""
     if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
+        return v
     if isinstance(v, str):
         try:
-            return Fraction(v)
+            v = Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise SceneError(f"bad rational literal {v!r}") from exc
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
     raise SceneError(
         f"coordinates must be integers or 'p/q' strings, got {v!r}"
     )
@@ -133,7 +139,7 @@ class Ring:
         n = len(self.vertices)
         return [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
 
-    def signed_area2(self) -> Fraction:
+    def signed_area2(self) -> Rational:
         return _area2(self.vertices)
 
 
@@ -180,7 +186,7 @@ class PlaneScene:
 
 def rect(x0, y0, x1, y1) -> Polygon:
     """Axis-aligned rectangle polygon (a frequent building block)."""
-    x0, y0, x1, y1 = map(_as_fraction, (x0, y0, x1, y1))
+    x0, y0, x1, y1 = map(_rational, (x0, y0, x1, y1))
     if x0 >= x1 or y0 >= y1:
         raise SceneError("rectangle needs x0 < x1 and y0 < y1")
     return Polygon(Ring(((x0, y0), (x1, y0), (x1, y1), (x0, y1))))
@@ -194,7 +200,7 @@ def ring_from(coords: Iterable[Sequence]) -> Ring:
 # Exact predicates
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
+def _cross(o: Point, a: Point, b: Point) -> Rational:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
@@ -336,12 +342,16 @@ def _scaled(scene: PlaneScene) -> tuple[int, ScaledRegions]:
     ]
 
 
-def validate_scene(scene: PlaneScene) -> None:
-    for name, polys in _scaled(scene)[1]:
+def validate_scene(scene: PlaneScene) -> tuple[int, ScaledRegions]:
+    """Reject a scene with a ring that is not simple; return the scene
+    scaled to integers, as :func:`_scaled` gives it."""
+    scale, regions = _scaled(scene)
+    for name, polys in regions:
         for pi, rings in enumerate(polys):
             for ri, ring in enumerate(rings):
                 kind = "outer ring" if ri == 0 else f"hole ring {ri - 1}"
                 _validate_ring(ring, f"region {name}, polygon {pi}, {kind}")
+    return scale, regions
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +430,7 @@ def _overlay_segments(segments: list[Segment]) -> list[Segment]:
     return sorted(pieces)
 
 
-def _angle_cmp(d1: tuple[Fraction, Fraction], d2: tuple[Fraction, Fraction]) -> int:
+def _angle_cmp(d1: Point, d2: Point) -> int:
     """Exact counterclockwise comparison of directions, starting at +x."""
 
     def half(d) -> int:
@@ -477,12 +487,6 @@ class Arrangement:
             {name: FaceSet(self, m) for name, m in self.region_masks.items()}
         )
 
-    def all_faces(self) -> frozenset[int]:
-        return frozenset(range(len(self.faces)))
-
-    def face_set(self, faces: Iterable[int]) -> "FaceSet":
-        return FaceSet(self, _mask(faces))
-
     def empty_set(self) -> "FaceSet":
         return FaceSet(self, 0)
 
@@ -500,13 +504,6 @@ class FaceSet:
     @property
     def faces(self) -> frozenset[int]:
         return frozenset(_bits(self.mask))
-
-
-def _mask(faces: Iterable[int]) -> int:
-    m = 0
-    for f in faces:
-        m |= 1 << f
-    return m
 
 
 def _bits(m: int) -> Iterator[int]:
@@ -564,12 +561,9 @@ def fs_complement(a: FaceSet) -> FaceSet:
 
 
 def build_arrangement(scene: PlaneScene) -> Arrangement:
-    validate_scene(scene)
-
-    # scale every coordinate to an integer once; the kernel then runs on
-    # integers, and only the overlay's crossing points may be fractions.
-    # validate_scene scales on its own, as a public call taking a scene.
-    scale, regions = _scaled(scene)
+    # every coordinate scaled to an integer once; the kernel then runs on
+    # integers, and only the overlay's crossing points may be fractions
+    scale, regions = validate_scene(scene)
     raw: list[Segment] = []
     seen: set[Segment] = set()
     for _, polys in regions:
@@ -842,13 +836,6 @@ def plane_eval(arr: Arrangement, f: Formula) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def plane_check(scene: PlaneScene, f: Formula) -> bool:
-    """Evaluate ``f`` against a scene (builds the arrangement afresh;
-    reuse :func:`build_arrangement` plus :func:`plane_eval` for repeated
-    queries on one scene)."""
-    return plane_eval(build_arrangement(scene), f)
-
-
 # ---------------------------------------------------------------------------
 # RCC8
 
@@ -1002,7 +989,7 @@ def induced_quasisaw(arr: Arrangement) -> QsModel:
 
 
 def scene_to_json(scene: PlaneScene) -> dict:
-    def coord(x: Fraction):
+    def coord(x: Rational):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
     def ring_json(r: Ring):

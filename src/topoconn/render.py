@@ -60,7 +60,7 @@ def to_svg(scene: PlaneScene, size: int = 640, labels: bool = True) -> str:
         max_x = max_y = Fraction(1)
     width = max(max_x - min_x, Fraction(1, 1000))
     height = max(max_y - min_y, Fraction(1, 1000))
-    pad_x, pad_y = width / 20, height / 20
+    pad_x, pad_y = Fraction(width, 20), Fraction(height, 20)
     min_x, max_x = min_x - pad_x, max_x + pad_x
     min_y, max_y = min_y - pad_y, max_y + pad_y
     width, height = max_x - min_x, max_y - min_y

@@ -34,10 +34,11 @@ equations allow.
 ``work_limit`` bounds the work units spent before the bounds are
 exhausted; ``ResourceExhausted`` is raised when it is exceeded.  One
 unit is one partial cell type built, one literal of a partial cube made
-at a disjunction, one cell-type tuple tried for a cube, one branch of
-the family search (one bipartition choice; one branch when there is no
-negative connectedness literal), or one search node of the
-minimal-family search.  ``UnsatUpTo`` reports the units spent as
+at a disjunction, one subset of the depth-0 points looked at when a
+level lists its successor sets, one cell-type tuple tried for a cube,
+one branch of the family search (one bipartition choice; one branch
+when there is no negative connectedness literal), or one search node of
+the minimal-family search.  ``UnsatUpTo`` reports the units spent as
 ``frames_examined``.
 
 Results are certificates: ``Sat`` carries a model that has been
@@ -593,6 +594,7 @@ def solve(
         _Cube(c, len(spine), tt, len(cts), work) for c in _cubes(spine, forks, work)
     )
     for n0 in range(1, bounds.max_w0 + 1):
+        work.spend(1 << n0)  # charged before the list is built
         base = _base_masks(n0, cls)
         connected = n0 > 1 and cls is not FrameClass.ALL_QS
         # the least candidate (n1, cell-type tuple, family) so far; the

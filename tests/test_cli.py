@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -218,6 +219,34 @@ def test_work_limit_is_honoured_on_many_variables(capsys, tmp_path, gen_args):
     )
     assert proc.returncode == 3, proc.stderr
     assert "work units" in proc.stderr
+
+
+def test_work_limit_bounds_the_successor_set_list(tmp_path):
+    # every level lists 2^max_w0 successor sets; uncharged, this run
+    # would double its time and memory per level up to 2^40, so the
+    # child gets an address-space cap to fail fast should that return
+    formula = tmp_path / "f.fml"
+    formula.write_text("a = 0 & !(a = 0)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    cap = 1 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "topoconn.cli", "solve", "--max-w0", "40",
+         "--work-limit", "1000", str(formula)],
+        capture_output=True, text=True, env=env, timeout=10, preexec_fn=limit_memory,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "resource limit: work limit of 1000 work units exceeded\n"
+    cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    assert cpu < 1.0
 
 
 def test_work_limit_is_honoured_on_disjunctions(tmp_path):

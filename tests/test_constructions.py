@@ -16,7 +16,6 @@ from topoconn.constructions import (
     not_c,
     partition,
     pcp_from_json,
-    pcp_to_json,
     phi_inf,
     phi_inf_c,
     phi_inf_i,
@@ -280,7 +279,13 @@ def test_pcp_json_roundtrip():
     inst = PcpInstance.make(
         ["g", "h"], ["u", "v"], {"g": "uv", "h": "v"}, {"g": "u", "h": "vv"}
     )
-    assert pcp_from_json(pcp_to_json(inst)) == inst
+    data = {
+        "tiles": ["g", "h"],
+        "letters": ["u", "v"],
+        "w1": {"g": "uv", "h": "v"},
+        "w2": {"g": "u", "h": "vv"},
+    }
+    assert pcp_from_json(data) == inst
 
 
 def test_phi_pcp_small_instance_counts():
@@ -362,6 +367,26 @@ def test_k5m_separator_example():
     arr = build_arrangement(out)
     assert plane_eval(arr, k5m(["a1", "a2", "a3", "a4", "a5"]))
     assert plane_eval(arr, parse("!C(a1, a2) & b1 <= a1 & b2 <= a2"))
+
+
+def test_k5m_separator_keeps_coordinates_exact():
+    # integral coordinates are plain ints, on which '/' would give floats
+    scene = PlaneScene.make({"b1": [rect(2, 2, 3, 3)], "b2": [rect(9, 1, 11, 3)]})
+    for curve in (
+        [(1, 1), (4, 1), (4, 4), (1, 4)],
+        [(0, 0), (5, 0), (5, 5), (3, 5), (3, 7), (0, 7)],
+    ):
+        out = k5m_separator(scene, "b1", "b2", curve)
+        coords = [
+            c
+            for _, polys in out.regions
+            for poly in polys
+            for ring in poly.rings()
+            for v in ring.vertices
+            for c in v
+        ]
+        assert not [c for c in coords if isinstance(c, float)]
+        assert all(type(c) is int or c.denominator > 1 for c in coords)
 
 
 def test_k5m_separator_rejects_touching_curve():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 import weakref
@@ -35,12 +36,12 @@ from topoconn.plane import (
     fs_sum,
     induced_quasisaw,
     is_tree,
-    plane_check,
     plane_eval,
     point_in_polygon,
     point_in_region,
     rcc8,
     rect,
+    ring_from,
     scene_from_json,
     scene_to_json,
 )
@@ -51,6 +52,7 @@ from topoconn.syntax import to_source
 from conftest import nested_rings, onion_partition, random_rect_scene
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "plane_golden.json"
+THREE_SQUARES = Path(__file__).resolve().parent.parent / "data" / "three_squares.json"
 
 
 EQ1 = parse(
@@ -148,7 +150,7 @@ def test_boolean_examples():
     arr = build_arrangement(scene)
     a, b = arr.region_sets["r1"], arr.region_sets["r2"]
     assert not fs_product(a, b).faces  # the shared edge regularizes away
-    assert fs_sum(a, fs_complement(a)).faces == arr.all_faces()
+    assert fs_sum(a, fs_complement(a)).faces == frozenset(range(len(arr.faces)))
     assert fs_complement(fs_complement(a)) == a
     other = build_arrangement(scene)
     with pytest.raises(ArrangementMismatchError):
@@ -189,10 +191,11 @@ def test_contact_examples():
 
 
 def test_plane_check_examples(three_squares):
-    assert plane_check(three_squares, EQ1)
-    assert plane_check(three_squares, parse("1 = r1 + -r1"))
+    arr = build_arrangement(three_squares)
+    assert plane_eval(arr, EQ1)
+    assert plane_eval(arr, parse("1 = r1 + -r1"))
     with pytest.raises(UnboundRegionError):
-        plane_check(three_squares, parse("missing = 0"))
+        plane_eval(arr, parse("missing = 0"))
     row = PlaneScene.make(
         {f"r{i}": [rect(2 * i, 0, 2 * i + 1, 1)] for i in range(1, 6)}
     )
@@ -206,7 +209,7 @@ def test_plane_check_examples(three_squares):
             ]
         )
     )
-    assert not plane_check(row, eq2)
+    assert not plane_eval(build_arrangement(row), eq2)
 
 
 def test_rcc8_six_configurations():
@@ -349,6 +352,115 @@ def test_svg_output(three_squares):
     assert to_svg(three_squares) == svg  # deterministic
     empty = to_svg(PlaneScene.make({}))
     assert "<svg" in empty and "</svg>" in empty
+    # byte for byte: the sample scene file, and a separator gadget, whose
+    # offsets are fractions
+    loaded = scene_from_json(json.loads(THREE_SQUARES.read_text()))
+    assert to_svg(loaded) == svg
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "bd75ce6a1e186282254106e7c2f498d10f6861a5912eee4b1bef827110ef9efb"
+    )
+    gadget = json.loads(GOLDEN.read_text())["k5m separator"]
+    built = k5m_separator(scene_from_json(gadget["base"]), "b1", "b2", gadget["curve"])
+    assert hashlib.sha256(to_svg(built).encode()).hexdigest() == (
+        "d7dcd5b877fdaf1388049c84e41fc979713886ad23c7f610e4124c1a71c3c794"
+    )
+
+
+def _coords(scene: PlaneScene) -> list:
+    return [
+        c
+        for _, polys in scene.regions
+        for poly in polys
+        for ring in poly.rings()
+        for v in ring.vertices
+        for c in v
+    ]
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(3, 3), ("6/2", 3), (Fraction(4, 2), 2), ("-9/3", -3), ("1/3", Fraction(1, 3)),
+     (Fraction(2, 6), Fraction(1, 3))],
+)
+def test_coordinates_are_ints_when_integral(value, expected):
+    loaded = scene_from_json(
+        {"regions": {"r": [{"outer": [[value, 0], [value, 7], [-5, value]]}]}}
+    )
+    for coords in (
+        rect(value, value, 10, 10).outer.vertices[0],
+        ring_from([(value, value)]).vertices[0],
+        [loaded.polygons("r")[0].outer.vertices[i][j] for i, j in ((0, 0), (1, 0), (2, 1))],
+    ):
+        assert [(type(c), c) for c in coords] == [(type(expected), expected)] * len(coords)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "coordinates must be integers or 'p/q' strings, got True"),
+        (1.5, "coordinates must be integers or 'p/q' strings, got 1.5"),
+        ("1/0", "bad rational literal '1/0'"),
+    ],
+)
+def test_bad_coordinates_are_rejected(value, message):
+    for make in (
+        lambda: rect(0, 0, value, 1),
+        lambda: ring_from([(0, 0), (1, value), (0, 1)]),
+        lambda: scene_from_json({"regions": {"r": [{"outer": [[0, 0], [value, 0], [0, 1]]}]}}),
+    ):
+        with pytest.raises(SceneError) as err:
+            make()
+        assert str(err.value) == message
+
+
+def _map_coords(scene: PlaneScene, fn) -> PlaneScene:
+    def ring(r: Ring) -> Ring:
+        return Ring(tuple((fn(x), fn(y)) for x, y in r.vertices))
+
+    return PlaneScene.make(
+        {
+            name: [Polygon(ring(p.outer), tuple(ring(h) for h in p.holes)) for p in polys]
+            for name, polys in scene.regions
+        }
+    )
+
+
+def _arrangement_fields(arr) -> tuple:
+    """Everything an arrangement holds, with the type of every coordinate."""
+
+    def typed(p):
+        return p and tuple((type(c), c) for c in p)
+
+    return (
+        [typed(v) for v in arr.vertices],
+        arr.edges,
+        [(f.index, f.bounded, typed(f.rep)) for f in arr.faces],
+        arr.edge_masks,
+        arr.vertex_masks,
+        arr.region_masks,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_fraction_coordinates_build_what_normalized_ones_do(seed, onion):
+    """A scene whose integral coordinates are Fractions and the same scene
+    with every coordinate in canonical form: equal and equally hashed
+    scenes, the same arrangement field by field, the same JSON text."""
+    rng = random.Random(seed)
+    if onion:
+        scene, _ = onion_partition(rng, colours=3, layers=rng.randint(2, 6))
+    else:
+        scene = random_rect_scene(rng, ("p", "q", "w"), span=8)
+    fractions = _map_coords(scene, Fraction)
+    normal = _map_coords(scene, plane_module._rational)
+    assert all(type(c) is Fraction for c in _coords(fractions))
+    assert all(type(c) is int or c.denominator > 1 for c in _coords(normal))
+    assert fractions == normal and hash(fractions) == hash(normal)
+    assert _arrangement_fields(build_arrangement(fractions)) == _arrangement_fields(
+        build_arrangement(normal)
+    )
+    assert json.dumps(scene_to_json(fractions)) == json.dumps(scene_to_json(normal))
 
 
 def test_boolean_algebra_laws_on_facesets():
@@ -409,11 +521,11 @@ def test_face_set_predicates_match_induced_quasisaw():
         arr = build_arrangement(random_rect_scene(rng, ("p", "q"), span=6))
         frame = induced_quasisaw(arr).frame
         for _ in range(8):
-            fs = arr.face_set(f for f in range(len(arr.faces)) if rng.random() < 0.5)
+            fs = FaceSet(arr, sum(1 << f for f in range(len(arr.faces)) if rng.random() < 0.5))
             s = qs.rc_expand(frame, {f"f{f}" for f in fs.faces})
             assert fs_connected(fs) == qs.is_connected(s)
             assert fs_interior_connected(fs) == qs.is_interior_connected(s)
-            other = arr.face_set(f for f in range(len(arr.faces)) if rng.random() < 0.3)
+            other = FaceSet(arr, sum(1 << f for f in range(len(arr.faces)) if rng.random() < 0.3))
             t = qs.rc_expand(frame, {f"f{f}" for f in other.faces})
             assert fs_contact(fs, other) == qs.contact(s, t)
             assert fs_contact(other, fs) == qs.contact(s, t)
@@ -466,7 +578,7 @@ def test_checkerboard_faces_meet_only_at_vertices():
     assert fs_contact(black, white) and fs_contact(black, outer)
     # the white cells left of and below the centre meet at one corner
     cell = {
-        (int(f.rep[0]), int(f.rep[1])): arr.face_set([f.index])
+        (int(f.rep[0]), int(f.rep[1])): FaceSet(arr, 1 << f.index)
         for f in arr.faces
         if f.bounded
     }
@@ -478,8 +590,9 @@ def test_checkerboard_faces_meet_only_at_vertices():
 def test_face_sets_and_component_graphs_are_hashable(three_squares):
     arr = build_arrangement(three_squares)
     r1 = arr.region_sets["r1"]
-    assert hash(r1) == hash(arr.face_set(r1.faces))
-    assert len({r1, arr.face_set(r1.faces), arr.region_sets["r2"]}) == 2
+    same = FaceSet(arr, sum(1 << f for f in r1.faces))
+    assert hash(r1) == hash(same)
+    assert len({r1, same, arr.region_sets["r2"]}) == 2
     # equal faces on another build of the same scene are another set
     assert r1 != build_arrangement(three_squares).region_sets["r1"]
     g = component_graph(three_squares, ["r1", "r2", "r3", "-(r1 + r2 + r3)"])

@@ -83,7 +83,7 @@ def test_wiggly_unsat_over_two_successor_frames():
     result = solve_rcp3(WIGGLY, Bounds(6, 8))
     assert isinstance(result, UnsatUpTo)
     assert result.bounds == Bounds(6, 8)
-    assert result.frames_examined == 501169
+    assert result.frames_examined == 501295
 
 
 def test_negative_connectedness_work_is_pinned():
@@ -92,7 +92,7 @@ def test_negative_connectedness_work_is_pinned():
     any change to that search's pruning or charging shows here."""
     result = solve_rcp3(WIGGLY, Bounds(5, 8))
     assert isinstance(result, UnsatUpTo)
-    assert result.frames_examined == 62258
+    assert result.frames_examined == 62320
 
 
 def test_contradiction_unsat():
@@ -331,13 +331,15 @@ def test_as_literal_conjunction_matches_the_negation_normal_form():
 def test_cube_expansion_is_charged():
     # 12 disjunctions under one unsatisfiable literal: 2^12 dead cubes.
     # Each partial cube made at a disjunction costs one unit per literal;
-    # the one of depth d holds the spine literal and d more.
+    # the one of depth d holds the spine literal and d more.  Besides,
+    # the two cell types of a and the successor-set lists of levels 1-3
+    # (2^n0 units each) are charged.
     clause = Or(AtomF(Conn(Variable("a"))), AtomF(IntConn(Variable("a"))))
     never = Not(AtomF(Eq(Variable("a"), Variable("a"))))
     f = conj([never] + [clause] * 12)
     result = solve(f, FrameClass.ALL_QS, Bounds(3, 3))
     expansion = sum(2**d * (d + 1) for d in range(1, 13))
-    assert result == UnsatUpTo(Bounds(3, 3), 2 + expansion)
+    assert result == UnsatUpTo(Bounds(3, 3), 2 + (2 + 4 + 8) + expansion)
     # 2^20 cubes: the work limit stops the expansion early
     start = time.perf_counter()
     with pytest.raises(ResourceExhausted):

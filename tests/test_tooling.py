@@ -37,15 +37,29 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
+# functions of ``constructions.py`` that compute on scene coordinates:
+# the separator builder and its distance helpers
+EXACT_CONSTRUCTIONS = ("_pt_seg_d2", "_seg_seg_d2", "_sqrt_lower_bound", "k5m_separator")
+
+
+def _true_divisions(node: ast.AST) -> list[str]:
+    return [
+        f"'/' (line {n.lineno})"
+        for n in ast.walk(node)
+        if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div)
+    ]
+
+
 def test_plane_kernel_has_no_floats():
     """The plane kernel is exact: no true division, no float conversion
-    or rounding, and no float literal anywhere in ``plane.py``."""
+    or rounding, and no float literal anywhere in ``plane.py``.  Integral
+    scene coordinates are plain ints, on which ``/`` gives a float, so
+    the functions of ``constructions.py`` that compute on them write
+    every quotient as ``Fraction(num, den)``; ``//`` stays allowed."""
     tree = ast.parse((SRC / "plane.py").read_text(encoding="utf-8"))
-    found = []
+    found = _true_divisions(tree)
     for node in ast.walk(tree):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-            found.append(f"'/' (line {node.lineno})")
-        elif (
+        if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id in ("float", "round")
@@ -54,6 +68,13 @@ def test_plane_kernel_has_no_floats():
         elif isinstance(node, ast.Constant) and isinstance(node.value, float):
             found.append(f"{node.value!r} (line {node.lineno})")
     assert not found, f"plane.py leaves exact arithmetic: {', '.join(found)}"
+    tree = ast.parse((SRC / "constructions.py").read_text(encoding="utf-8"))
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    assert set(EXACT_CONSTRUCTIONS) <= set(functions)
+    found = [d for name in EXACT_CONSTRUCTIONS for d in _true_divisions(functions[name])]
+    assert not found, f"constructions.py divides coordinates with '/': {', '.join(found)}"
 
 
 def test_plane_builds_adjacency_only_once_per_arrangement():
