@@ -143,9 +143,9 @@ def _cmd_parse(args) -> int:
     return EXIT_TRUE
 
 
-def _solve_common(args, f: Formula, runner) -> int:
-    bounds = Bounds(args.max_w0, args.max_w1)
-    result = runner(f, bounds)
+def _cmd_solve(args) -> int:
+    f = _read_formula(args.file)
+    result = args.runner(f, Bounds(args.max_w0, args.max_w1), args)
     if isinstance(result, Sat):
         payload = {
             "verdict": "sat",
@@ -167,28 +167,6 @@ def _solve_common(args, f: Formula, runner) -> int:
         f"w1 <= {result.bounds.max_w1}); {result.frames_examined} work units spent",
     )
     return EXIT_FALSE
-
-
-def _cmd_solve(args) -> int:
-    f = _read_formula(args.file)
-    cls = _CLASSES[args.frame_class]
-    return _solve_common(
-        args, f, lambda g, b: solve(g, cls, b, work_limit=args.work_limit)
-    )
-
-
-def _cmd_solve_rc3(args) -> int:
-    f = _read_formula(args.file)
-    return _solve_common(
-        args, f, lambda g, b: solve_rc3(g, b, work_limit=args.work_limit)
-    )
-
-
-def _cmd_solve_rcp3(args) -> int:
-    f = _read_formula(args.file)
-    return _solve_common(
-        args, f, lambda g, b: solve_rcp3(g, b, work_limit=args.work_limit)
-    )
 
 
 def _cmd_eval(args) -> int:
@@ -269,13 +247,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_parse)
 
-    def add_solver_args(sp):
+    def add_solver_args(sp, runner):
+        """``runner(f, bounds, args)`` is the subcommand's search."""
         sp.add_argument("--max-w0", type=int, default=5, dest="max_w0")
         sp.add_argument("--max-w1", type=int, default=10, dest="max_w1")
         sp.add_argument(
             "--work-limit", type=_nonnegative_int, default=10_000_000, dest="work_limit"
         )
         sp.add_argument("file")
+        sp.set_defaults(func=_cmd_solve, runner=runner)
 
     p = sub.add_parser("solve", help="bounded model search")
     p.add_argument(
@@ -284,22 +264,21 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(_CLASSES),
         default="all",
     )
-    add_solver_args(p)
-    p.set_defaults(func=_cmd_solve)
+    add_solver_args(
+        p, lambda f, b, a: solve(f, _CLASSES[a.frame_class], b, work_limit=a.work_limit)
+    )
 
     p = sub.add_parser(
         "solve-rc3",
         help="satisfiability over regular closed sets in dimension >= 3",
     )
-    add_solver_args(p)
-    p.set_defaults(func=_cmd_solve_rc3)
+    add_solver_args(p, lambda f, b, a: solve_rc3(f, b, work_limit=a.work_limit))
 
     p = sub.add_parser(
         "solve-rcp3",
         help="satisfiability over regular closed polyhedra in dimension >= 3",
     )
-    add_solver_args(p)
-    p.set_defaults(func=_cmd_solve_rcp3)
+    add_solver_args(p, lambda f, b, a: solve_rcp3(f, b, work_limit=a.work_limit))
 
     p = sub.add_parser("eval", help="evaluate against a model or a scene")
     p.add_argument("--model")

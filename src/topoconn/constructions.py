@@ -33,7 +33,6 @@ from .plane import (
     ring_from,
 )
 from .syntax import (
-    And,
     AtomF,
     Complement,
     Conn,
@@ -44,15 +43,16 @@ from .syntax import (
     IntConn,
     Not,
     ONE,
-    Or,
     Product,
     Sum,
     Term,
     Variable,
     ZERO,
     conj,
+    fold,
     leq,
     nonempty,
+    rebuild,
     term_sum,
 )
 
@@ -350,21 +350,11 @@ def phi_inf() -> Formula:
 def phi_inf_i() -> Formula:
     """The interior-connectedness variant: every (positive) plain
     connectedness atom strengthened to interior connectedness."""
-
-    def strengthen(f: Formula) -> Formula:
-        if isinstance(f, AtomF):
-            if isinstance(f.atom, Conn):
-                return AtomF(IntConn(f.atom.arg))
-            return f
-        if isinstance(f, And):
-            return And(strengthen(f.left), strengthen(f.right))
-        if isinstance(f, Or):
-            return Or(strengthen(f.left), strengthen(f.right))
-        if isinstance(f, Not):
-            return Not(strengthen(f.arg))
-        raise TypeError(f"not a formula: {f!r}")
-
-    return strengthen(phi_inf())
+    return fold(
+        phi_inf(),
+        lambda g: AtomF(IntConn(g.atom.arg)) if isinstance(g.atom, Conn) else g,
+        rebuild,
+    )
 
 
 def phi_inf_c() -> Formula:

@@ -52,6 +52,7 @@ therefore lies on the face's boundary: both probes find the same minimum.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -78,10 +79,6 @@ from .syntax import (
     Term,
     Variable,
     Zero,
-    ZERO,
-    ONE,
-    conj,
-    term_sum,
 )
 
 # an exact coordinate: an int when integral, a Fraction otherwise
@@ -114,15 +111,20 @@ def _as_point(xy: Sequence) -> Point:
     return (_rational(xy[0]), _rational(xy[1]))
 
 
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _rational(v) -> Rational:
     """A coordinate in its canonical exact form: an int when integral, a
-    Fraction otherwise."""
+    Fraction otherwise.  A string must be an integer or ``p/q`` literal."""
     if isinstance(v, int) and not isinstance(v, bool):
         return v
     if isinstance(v, str):
+        if not _RATIONAL_RE.fullmatch(v):
+            raise SceneError(f"bad rational literal {v!r}")
         try:
             v = Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise SceneError(f"bad rational literal {v!r}") from exc
     if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else v
@@ -462,7 +464,6 @@ class Arrangement:
     holds masks, not face sets, so that it refers to nothing that
     refers back to it and is freed as soon as it is dropped."""
 
-    scene: PlaneScene
     vertices: list[Point]
     edges: list[tuple[int, int]]
     faces: list[Face]
@@ -741,7 +742,6 @@ def build_arrangement(scene: PlaneScene) -> Arrangement:
     ]
     faces.append(Face(unbounded, False, None))
     return Arrangement(
-        scene,
         [(_coord(x, scale), _coord(y, scale)) for x, y in vertices],
         list(edges),
         faces,
@@ -914,17 +914,6 @@ def is_tree(g: ComponentGraph) -> bool:
     return len(_components((1 << n) - 1, adj)) == 1
 
 
-def _partition_formula(terms: list[Term]) -> Formula:
-    return conj(
-        [AtomF(Eq(term_sum(terms), ONE))]
-        + [
-            AtomF(Eq(Product(terms[i], terms[j]), ZERO))
-            for i in range(len(terms))
-            for j in range(i + 1, len(terms))
-        ]
-    )
-
-
 def component_graph(
     scene: Union[PlaneScene, Arrangement], members: Sequence[Union[str, Term]]
 ) -> ComponentGraph:
@@ -943,12 +932,16 @@ def component_graph(
     if not terms:
         raise ValueError("component_graph needs at least one member")
     arr = scene if isinstance(scene, Arrangement) else build_arrangement(scene)
-    if not plane_eval(arr, _partition_formula(terms)):
+    fsets = [faceset_of_term(arr, t) for t in terms]
+    union, disjoint = 0, True
+    for fset in fsets:
+        disjoint = disjoint and not union & fset.mask
+        union |= fset.mask
+    if not disjoint or union != arr.full_set().mask:
         raise ValueError("the listed members do not form a partition")
     nodes: list[FaceSet] = []
     node_labels: list[str] = []
-    for label, t in zip(labels, terms):
-        fset = faceset_of_term(arr, t)
+    for label, fset in zip(labels, fsets):
         for k, comp in enumerate(fs_components(fset)):
             nodes.append(comp)
             node_labels.append(f"{label}#{k}")

@@ -219,13 +219,6 @@ def is_connected(s: RcSet) -> bool:
     return len(mask_components(frame.mask(s.trace), frame.links)) <= 1
 
 
-def interior_points(s: RcSet) -> frozenset[str]:
-    """The interior: trace points plus depth-1 points all of whose
-    successors lie in the trace."""
-    extra = {z for z, succ in s.frame.w1 if succ <= s.trace}
-    return s.trace | extra
-
-
 def is_interior_connected(s: RcSet) -> bool:
     frame = s.frame
     return len(mask_components(frame.mask(s.trace), frame.links, True)) <= 1

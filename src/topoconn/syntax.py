@@ -15,7 +15,9 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 # A leading underscore is reserved for machine-generated variables (the
 # documented source grammar starts identifiers with a letter).
@@ -70,10 +72,6 @@ class Complement(Term):
 
 ZERO = Zero()
 ONE = One()
-
-
-def var(name: str) -> Variable:
-    return Variable(name)
 
 
 def term_sum(terms: list[Term] | tuple[Term, ...]) -> Term:
@@ -143,8 +141,35 @@ class Not(Formula):
     arg: Formula
 
 
-def atom(a: Atom) -> Formula:
-    return AtomF(a)
+def fold(f: Formula, atom: Callable[[AtomF], T], op: Callable[..., T]) -> T:
+    """Post-order fold of ``f`` with an explicit stack, so it works at any
+    depth: an atomic formula ``g`` gives ``atom(g)``, an ``And``, ``Or``
+    or ``Not`` node gives ``op(node, *child_values)``, children taken left
+    to right.  Terms are not entered."""
+    values: list[T] = []
+    # a node is pushed with arity 0 to enter it, then with its arity to combine
+    stack: list[tuple[Formula, int]] = [(f, 0)]
+    while stack:
+        g, arity = stack.pop()
+        if arity == 1:
+            values[-1] = op(g, values[-1])
+        elif arity:
+            right = values.pop()
+            values[-1] = op(g, values[-1], right)
+        elif isinstance(g, AtomF):
+            values.append(atom(g))
+        elif isinstance(g, (And, Or)):
+            stack += ((g, 2), (g.right, 0), (g.left, 0))
+        elif isinstance(g, Not):
+            stack += ((g, 1), (g.arg, 0))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return values[0]
+
+
+def rebuild(g: Formula, *children: Formula) -> Formula:
+    """The node ``g`` over new children: the ``op`` of a rewriting fold."""
+    return type(g)(*children)
 
 
 def conj(parts: list[Formula] | tuple[Formula, ...]) -> Formula:
@@ -318,14 +343,8 @@ def language_of(f: Formula) -> LanguageId:
     C present the mix is reported as BCci (the join convention used
     throughout this package).
     """
-    has_c = has_conn = has_ic = False
-    for a in atoms(f):
-        if isinstance(a, Contact):
-            has_c = True
-        elif isinstance(a, Conn):
-            has_conn = True
-        elif isinstance(a, IntConn):
-            has_ic = True
+    kinds = fold(f, lambda g: {type(g.atom)}, lambda g, *sets: set().union(*sets))
+    has_c, has_conn, has_ic = Contact in kinds, Conn in kinds, IntConn in kinds
     if has_conn and has_ic:
         return LanguageId.BCci if has_c else LanguageId.MIXED_C
     if has_conn:
@@ -353,16 +372,6 @@ class PolarityReport:
     intconn: Polarity
 
 
-def _signs_to_polarity(signs: set[bool]) -> Polarity:
-    if not signs:
-        return Polarity.ABSENT
-    if signs == {True}:
-        return Polarity.ALL_POSITIVE
-    if signs == {False}:
-        return Polarity.ALL_NEGATIVE
-    return Polarity.MIXED
-
-
 def polarity(f: Formula) -> PolarityReport:
     """Occurrence polarities per atom kind.
 
@@ -370,27 +379,25 @@ def polarity(f: Formula) -> PolarityReport:
     an odd number as negative; conjunction and disjunction preserve the
     sign.  No Boolean simplification is applied.
     """
-    seen: dict[type, set[bool]] = {Contact: set(), Conn: set(), IntConn: set()}
 
-    def walk(g: Formula, sign: bool) -> None:
-        if isinstance(g, AtomF):
-            kind = type(g.atom)
-            if kind in seen:
-                seen[kind].add(sign)
-        elif isinstance(g, (And, Or)):
-            walk(g.left, sign)
-            walk(g.right, sign)
-        elif isinstance(g, Not):
-            walk(g.arg, not sign)
-        else:
-            raise TypeError(f"not a formula: {g!r}")
+    def signed(g: Formula, *children: set) -> set:
+        if isinstance(g, Not):
+            return {(kind, not sign) for kind, sign in children[0]}
+        return children[0] | children[1]
 
-    walk(f, True)
-    return PolarityReport(
-        contact=_signs_to_polarity(seen[Contact]),
-        conn=_signs_to_polarity(seen[Conn]),
-        intconn=_signs_to_polarity(seen[IntConn]),
-    )
+    seen = fold(f, lambda g: {(type(g.atom), True)}, signed)
+
+    def of(kind: type) -> Polarity:
+        signs = {sign for k, sign in seen if k is kind}
+        if not signs:
+            return Polarity.ABSENT
+        if signs == {True}:
+            return Polarity.ALL_POSITIVE
+        if signs == {False}:
+            return Polarity.ALL_NEGATIVE
+        return Polarity.MIXED
+
+    return PolarityReport(contact=of(Contact), conn=of(Conn), intconn=of(IntConn))
 
 
 # ---------------------------------------------------------------------------
@@ -403,45 +410,27 @@ def to_bullet(f: Formula) -> Formula:
     Defined only on formulas free of c-atoms, so that the substitution is
     a bijection between the ci-languages and their c-counterparts.
     """
-    for a in atoms(f):
-        if isinstance(a, Conn):
+
+    def bullet(g: AtomF) -> Formula:
+        if isinstance(g.atom, Conn):
             raise ValueError("to_bullet requires a formula without c-atoms")
+        return AtomF(Conn(g.atom.arg)) if isinstance(g.atom, IntConn) else g
 
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, AtomF):
-            if isinstance(g.atom, IntConn):
-                return AtomF(Conn(g.atom.arg))
-            return g
-        if isinstance(g, And):
-            return And(walk(g.left), walk(g.right))
-        if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
-        if isinstance(g, Not):
-            return Not(walk(g.arg))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f)
+    return fold(f, bullet, rebuild)
 
 
 def nnf(f: Formula) -> Formula:
     """Negation normal form: negations pushed onto atoms, nothing else."""
-    if isinstance(f, AtomF):
-        return f
-    if isinstance(f, And):
-        return And(nnf(f.left), nnf(f.right))
-    if isinstance(f, Or):
-        return Or(nnf(f.left), nnf(f.right))
-    if isinstance(f, Not):
-        g = f.arg
-        if isinstance(g, AtomF):
-            return f
+    # each subformula folds to its normal form and that of its negation
+    def push(g: Formula, *children: tuple[Formula, Formula]) -> tuple[Formula, Formula]:
         if isinstance(g, Not):
-            return nnf(g.arg)
+            return children[0][::-1]
+        (lpos, lneg), (rpos, rneg) = children
         if isinstance(g, And):
-            return Or(nnf(Not(g.left)), nnf(Not(g.right)))
-        if isinstance(g, Or):
-            return And(nnf(Not(g.left)), nnf(Not(g.right)))
-    raise TypeError(f"not a formula: {f!r}")
+            return And(lpos, rpos), Or(lneg, rneg)
+        return Or(lpos, rpos), And(lneg, rneg)
+
+    return fold(f, lambda g: (g, Not(g)), push)[0]
 
 
 def default_fresh() -> Callable[[], str]:
@@ -478,7 +467,8 @@ def eliminate_contact(f: Formula) -> Formula:
     report = polarity(f)
     if report.contact in (Polarity.ALL_POSITIVE, Polarity.MIXED):
         raise ValueError("eliminate_contact requires all contact atoms negative")
-    used = set(variables(f))
+    used: set[str] = set()
+    fold(f, lambda g: used.update(*map(term_variables, atom_terms(g.atom))), lambda g, *_: None)
     base = default_fresh()
 
     def fresh() -> str:
@@ -487,10 +477,9 @@ def eliminate_contact(f: Formula) -> Formula:
             name = base()
         return name
 
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Not) and isinstance(g.arg, AtomF) and isinstance(
-            g.arg.atom, Contact
-        ):
+    # in negation normal form every Not sits directly above an atom
+    def rewrite(g: Formula, *children: Formula) -> Formula:
+        if isinstance(g, Not) and isinstance(g.arg.atom, Contact):
             a = g.arg.atom
             padded1 = Sum(a.left, Variable(fresh()))
             padded2 = Sum(a.right, Variable(fresh()))
@@ -501,10 +490,6 @@ def eliminate_contact(f: Formula) -> Formula:
                     Not(AtomF(Conn(Sum(padded1, padded2)))),
                 ]
             )
-        if isinstance(g, And):
-            return And(walk(g.left), walk(g.right))
-        if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
-        return g
+        return rebuild(g, *children)
 
-    return walk(nnf(f))
+    return fold(nnf(f), lambda g: g, rewrite)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -138,6 +139,24 @@ def test_gen_all_families(capsys):
     for what in ("phi-inf", "phi-inf-i", "phi-inf-c", "phi-inf-star", "eq1", "eq2"):
         code, out, _ = run(capsys, "gen", what)
         assert code == 0 and out.strip()
+
+
+# sha256 of what `topoconn gen` prints for each built-in family
+GEN_SHA256 = {
+    "phi-inf": "32cb8652fa583025472517392c2ceef78ab0eca841473952cd5e77aebdcf2656",
+    "phi-inf-i": "a9095be0bd98a1dbd10442bbe85847add8af05f587217e0025d58a7ceb586754",
+    "phi-inf-c": "647fef90c11a13b0046eb6c6497a6513a635789617d43f6b576d0cae7bcb1180",
+    "phi-inf-star": "ae973dd816454c293b0648b14defb3b3bf20ff3bad7355b6a9388586f648d6e0",
+    "eq1": "991245aa9aff36acec39e65b157b5d15b5668f57ff78d2418106742ecfca1c42",
+    "eq2": "83d174a41dfaa21f39378912fb02f75a02004df28592532d3db1d4318b1b533a",
+    "eq3": "23311c77cfa96e3713c1adb0fd26c5932ad513e81216caf6f4dcfec72025e4b5",
+}
+
+
+def test_gen_output_is_pinned(capsys):
+    for what, digest in GEN_SHA256.items():
+        code, out, _ = run(capsys, "gen", what)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, what
 
 
 def test_rcc8_command(capsys):

@@ -283,8 +283,11 @@ def test_component_graph_examples(three_squares):
     one = PlaneScene.make({"r": [rect(0, 0, 1, 1)]})
     g1 = component_graph(one, ["r", "-r"])
     assert len(g1.labels) == 2 and is_tree(g1)
-    with pytest.raises(ValueError):
-        component_graph(one, ["r"])  # not a partition
+    for members in (["r"], ["r", "1"], ["r", "-r", "r"]):  # a gap, then overlaps
+        with pytest.raises(ValueError, match="^the listed members do not form a partition$"):
+            component_graph(one, members)
+    with pytest.raises(UnboundRegionError):
+        component_graph(one, ["r", "-r", "s"])
 
 
 def test_component_graph_onions():
@@ -380,7 +383,7 @@ def _coords(scene: PlaneScene) -> list:
 @pytest.mark.parametrize(
     "value, expected",
     [(3, 3), ("6/2", 3), (Fraction(4, 2), 2), ("-9/3", -3), ("1/3", Fraction(1, 3)),
-     (Fraction(2, 6), Fraction(1, 3))],
+     (Fraction(2, 6), Fraction(1, 3)), ("1", 1), ("-9/5", Fraction(-9, 5))],
 )
 def test_coordinates_are_ints_when_integral(value, expected):
     loaded = scene_from_json(
@@ -400,6 +403,12 @@ def test_coordinates_are_ints_when_integral(value, expected):
         (True, "coordinates must be integers or 'p/q' strings, got True"),
         (1.5, "coordinates must be integers or 'p/q' strings, got 1.5"),
         ("1/0", "bad rational literal '1/0'"),
+        # a string coordinate is an integer or 'p/q' literal and nothing else
+        ("1.5", "bad rational literal '1.5'"),
+        ("1e3", "bad rational literal '1e3'"),
+        ("1_000", "bad rational literal '1_000'"),
+        (" 3/4 ", "bad rational literal ' 3/4 '"),
+        ("+3", "bad rational literal '+3'"),
     ],
 )
 def test_bad_coordinates_are_rejected(value, message):

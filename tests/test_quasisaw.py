@@ -16,7 +16,6 @@ from topoconn.quasisaw import (
     components,
     contact,
     full_points,
-    interior_points,
     is_connected,
     is_interior_connected,
     make_frame,

@@ -28,11 +28,14 @@ from topoconn.syntax import (
     ZERO,
     Zero,
     atoms,
+    conj,
     eliminate_contact,
+    fold,
     language_leq,
     language_of,
     nnf,
     polarity,
+    rebuild,
     to_bullet,
     to_source,
     variables,
@@ -410,3 +413,117 @@ def test_eliminate_contact_entailment_on_random_models():
                 violations += 1
     assert violations == 0
     assert hits > 30  # the premise must actually fire
+
+
+# ---------------------------------------------------------------------------
+# Negation normal form
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas, st.randoms(use_true_random=False))
+def test_nnf_keeps_truth_and_pushes_negations_onto_atoms(f, rnd):
+    g = nnf(f)
+    stack = [g]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Not):
+            assert isinstance(node.arg, AtomF)
+        elif isinstance(node, (And, Or)):
+            stack += (node.left, node.right)
+    assert nnf(g) == g
+    for _ in range(5):
+        model = random_model(rnd, random_frame(rnd, max_w0=3, max_w1=2), ("r1", "r2", "x'", "b_2"))
+        assert check(model, g) == check(model, f)
+
+
+# ---------------------------------------------------------------------------
+# Formulas deeper than the interpreter's stack
+
+
+def _same(x, y) -> bool:
+    """Structural equality walked with an explicit stack, since ``==``
+    recurses."""
+    stack = [(x, y)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, str):
+            if a != b:
+                return False
+            continue
+        stack += [(getattr(a, fld.name), getattr(b, fld.name)) for fld in dataclasses.fields(a)]
+    return True
+
+
+def _nots(f, n: int):
+    for _ in range(n):
+        f = Not(f)
+    return f
+
+
+def _disj(parts):
+    acc = parts[0]
+    for p in parts[1:]:
+        acc = Or(acc, p)
+    return acc
+
+
+def _ci(i: int):
+    return AtomF(IntConn(Variable(f"a{i}")))
+
+
+def _contact(i: int):
+    return AtomF(Contact(Variable(f"a{i}"), Variable("b")))
+
+
+def _gadget(i: int, r: str, s: str):
+    p1, p2 = Sum(Variable(f"a{i}"), Variable(r)), Sum(Variable("b"), Variable(s))
+    return conj([AtomF(Conn(p1)), AtomF(Conn(p2)), Not(AtomF(Conn(Sum(p1, p2))))])
+
+
+def test_walkers_have_no_depth_limit():
+    a = Variable("a")
+    deep = parse("!" * 10_000 + "ci(a)")
+    assert _same(deep, _nots(AtomF(IntConn(a)), 10_000))
+    assert language_of(deep) == LanguageId.Bci
+    assert polarity(deep).intconn == Polarity.ALL_POSITIVE
+    assert _same(to_bullet(deep), _nots(AtomF(Conn(a)), 10_000))
+    assert _same(nnf(deep), AtomF(IntConn(a)))
+    assert _same(nnf(Not(deep)), Not(AtomF(IntConn(a))))
+    assert _same(eliminate_contact(deep), AtomF(IntConn(a)))
+    assert _same(fold(deep, lambda g: g, rebuild), deep)
+    with pytest.raises(ValueError):
+        to_bullet(_nots(AtomF(Conn(a)), 10_000))
+
+    # ci(a0) & !C(a1, b) & ci(a2) & ... with 3000 atoms
+    n = 3000
+    odd = range(1, n, 2)
+    chain = conj([_ci(i) if i % 2 == 0 else Not(_contact(i)) for i in range(n)])
+    assert language_of(chain) == LanguageId.BCci
+    rep = polarity(chain)
+    assert (rep.contact, rep.conn, rep.intconn) == (
+        Polarity.ALL_NEGATIVE, Polarity.ABSENT, Polarity.ALL_POSITIVE
+    )
+    assert _same(fold(chain, lambda g: g, rebuild), chain)
+    assert _same(nnf(chain), chain)
+    assert _same(
+        nnf(Not(chain)),
+        _disj([_contact(i) if i in odd else Not(_ci(i)) for i in range(n)]),
+    )
+    bullet = [Not(_contact(i)) if i in odd else AtomF(Conn(Variable(f"a{i}"))) for i in range(n)]
+    assert _same(to_bullet(chain), conj(bullet))
+    # the fresh names come out left to right
+    assert _same(
+        eliminate_contact(chain),
+        conj([_gadget(i, f"_f{i - 1}", f"_f{i}") if i in odd else _ci(i) for i in range(n)]),
+    )
+
+
+def test_fold_is_post_order_left_to_right():
+    f = parse("(c(a) | !ci(b)) & C(a, b)")
+    seen = []
+    fold(f, lambda g: seen.append(to_source(g)), lambda g, *vs: seen.append(type(g).__name__))
+    assert seen == ["c(a)", "ci(b)", "Not", "Or", "C(a, b)", "And"]
+    with pytest.raises(TypeError, match="^not a formula: 3$"):
+        fold(And(AtomF(Conn(Variable("a"))), 3), lambda g: g, rebuild)

@@ -96,3 +96,28 @@ def test_plane_builds_adjacency_only_once_per_arrangement():
 
     visit(tree, "")
     assert not found, f"plane.py builds adjacency outside set-up: {', '.join(found)}"
+
+
+# the pre-order walkers and the printers still recurse; the list shrinks
+# as they move onto iterative walks
+RECURSIVE_SYNTAX = {"term_variables", "atoms", "conjuncts", "term_to_source", "to_source"}
+
+
+def test_syntax_walkers_do_not_recurse():
+    """Formula rewrites and classifications fold with the explicit stack
+    of ``syntax.fold``, so they work on formulas of any depth: no function
+    of ``syntax.py`` or ``constructions.py`` calls itself, apart from the
+    allow-list."""
+    found = []
+    for name in ("syntax.py", "constructions.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            calls_itself = any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == node.name
+                for n in ast.walk(node)
+            )
+            if calls_itself and node.name not in RECURSIVE_SYNTAX:
+                found.append(f"{name}: {node.name} (line {node.lineno})")
+    assert not found, f"recursive walkers: {', '.join(found)}"
