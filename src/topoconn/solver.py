@@ -39,7 +39,11 @@ level lists its successor sets, one cell-type tuple tried for a cube,
 one branch of the family search (one bipartition choice; one branch
 when there is no negative connectedness literal), or one search node of
 the minimal-family search.  ``UnsatUpTo`` reports the units spent as
-``frames_examined``.
+``frames_examined``.  The tuples of a cube are searched as prefixes,
+and a prefix that no completion can extend to a tuple satisfying the
+cube's disequations and negative contact literals is skipped whole; its
+tuples are charged as if tried, so ``frames_examined`` and the point
+where the limit is hit do not depend on that pruning.
 
 Results are certificates: ``Sat`` carries a model that has been
 re-checked (also against the brute-force oracle when small enough),
@@ -51,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement, product, tee
-from math import ceil
+from math import ceil, comb
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .quasisaw import (
@@ -457,6 +461,10 @@ def _build_model(
     return QsModel.make(frame, valuation)
 
 
+# a candidate of a level: (number of depth-1 points, cell-type tuple, family)
+_Candidate = tuple[int, tuple[int, ...], tuple[int, ...]]
+
+
 class _Cube:
     """One cube of the formula, prepared over the shared cell-type list:
     the types its own equations keep, and its other literals as term
@@ -473,6 +481,7 @@ class _Cube:
         self.work = work
         keep = (1 << n_types) - 1
         neq_diffs: list[int] = []
+        dead = 0  # the types in both terms of a negative contact literal
         self.contact_lits: list[tuple[bool, int, int]] = []
         self.conn_lits: list[tuple[bool, bool, int]] = []  # (positive, interior, tt)
         for k, (positive, a) in enumerate(literals):
@@ -482,7 +491,10 @@ class _Cube:
                 elif k >= shared:  # the list obeys the first ``shared`` literals
                     keep &= ~(tt(a.left) ^ tt(a.right))
             elif isinstance(a, Contact):
-                self.contact_lits.append((positive, tt(a.left), tt(a.right)))
+                t1_tt, t2_tt = tt(a.left), tt(a.right)
+                self.contact_lits.append((positive, t1_tt, t2_tt))
+                if not positive:
+                    dead |= t1_tt & t2_tt
             elif isinstance(a, Conn):
                 self.conn_lits.append((positive, False, tt(a.arg)))
             elif isinstance(a, IntConn):
@@ -494,13 +506,105 @@ class _Cube:
             keep = 0  # a disequation that no kept type witnesses: no model
         self.kept = [j for j in range(n_types) if keep >> j & 1]
         # per cell type, the disequations a point of that type witnesses:
-        # a tuple of types satisfies them all when their union is full
+        # a tuple of types satisfies them all when their union is full.
+        # A dead type gets -1, which no union completes: ``family``
+        # rejects every tuple holding one before it spends work
         self.witnessed = [0] * n_types
         for k, d in enumerate(neq_diffs):
             for j in self.kept:
                 if d >> j & 1:
                     self.witnessed[j] |= 1 << k
         self.all_neq = (1 << len(neq_diffs)) - 1
+        if dead:
+            for j in self.kept:
+                if dead >> j & 1:
+                    self.witnessed[j] = -1
+        self._suffix = None  # built by the first search with n0 >= 2
+
+    def _suffix_tables(self) -> tuple[list[int], list[int]]:
+        """Per position ``p`` into ``kept``: the disequations that the
+        types of ``kept[p:]`` other than the dead ones witness
+        together, and the most that one of them witnesses."""
+        nk = len(self.kept)
+        union, most = [0] * (nk + 1), [0] * (nk + 1)
+        for p in range(nk - 1, -1, -1):
+            union[p], most[p] = union[p + 1], most[p + 1]
+            w = self.witnessed[self.kept[p]]
+            if w >= 0:
+                union[p] |= w
+                most[p] = max(most[p], w.bit_count())
+        return union, most
+
+    def search(
+        self,
+        n0: int,
+        base: list[int],
+        connected: bool,
+        best: _Candidate,
+    ) -> _Candidate:
+        """Try the nondecreasing cell-type tuples of length ``n0`` over
+        ``kept`` in lexicographic order (the indices ascend with the
+        types) and return the least candidate found that beats ``best``,
+        else ``best``.
+
+        Each tuple costs one unit of work.  Only the tuples that witness
+        every disequation and hold no dead type reach ``family``.  The
+        tuples are searched depth first over their prefixes, on an
+        explicit stack, and a prefix none of whose completions can pass
+        is charged for all of them in one step.  The units are spent
+        before each call of ``family`` and at the end: the spends are
+        those of trying every tuple in turn, with the spends between two
+        calls merged, so the work runs out before the same call."""
+        kept, witnessed, all_neq, work = self.kept, self.witnessed, self.all_neq, self.work
+        nk = len(kept)
+        if not nk:
+            return best
+        if n0 > 1:
+            if self._suffix is None:
+                self._suffix = self._suffix_tables()
+            union, most = self._suffix
+        # a prefix: its types, the position in ``kept`` of its last type
+        # (the types from there on may follow) and the disequations it
+        # witnesses, -1 once it holds a dead type
+        stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
+        pending = 0  # units charged since the last spend
+        while stack:
+            prefix, p, seen = stack.pop()
+            r = n0 - len(prefix)
+            if r > 1:
+                if (
+                    seen | union[p] != all_neq
+                    or (all_neq & ~seen).bit_count() > r * most[p]
+                ):
+                    # no completion passes: charge the block whole, unless
+                    # the cut after a model without depth-1 points falls
+                    # inside it; such a model comes from an earlier cube
+                    if best[0] or prefix + (kept[-1],) * r <= best[1]:
+                        pending += comb(nk - p + r - 1, r)
+                        continue
+                    if prefix + (kept[p],) * r > best[1]:
+                        break
+                stack += [
+                    (prefix + (kept[q],), q, seen | witnessed[kept[q]])
+                    for q in range(nk - 1, p - 1, -1)
+                ]
+                continue
+            for t in kept[p:]:
+                if not best[0] and prefix + (t,) > best[1]:
+                    stack.clear()  # no later tuple beats a model without depth-1 points
+                    break
+                pending += 1
+                if seen | witnessed[t] != all_neq:
+                    continue
+                work.spend(pending)
+                pending = 0
+                idx = prefix + (t,)
+                budget_k = best[0] if idx <= best[1] else best[0] - 1
+                family = self.family(idx, base, connected, budget_k)
+                if family is not None and (len(family), idx, family) < best:
+                    best = (len(family), idx, family)
+        work.spend(pending)
+        return best
 
     def family(
         self, idx: tuple[int, ...], base: list[int], connected: bool, budget_k: int
@@ -599,26 +703,11 @@ def solve(
         connected = n0 > 1 and cls is not FrameClass.ALL_QS
         # the least candidate (n1, cell-type tuple, family) so far; the
         # initial one is beaten by every candidate within the bounds
-        best: tuple[int, tuple[int, ...], tuple[int, ...]] = (bounds.max_w1 + 1, (), ())
+        best: _Candidate = (bounds.max_w1 + 1, (), ())
         # replay the cubes drawn so far; draw more only when reached
         cubes, level = tee(cubes)
         for cube in level:
-            witnessed, all_neq = cube.witnessed, cube.all_neq
-            # indices into the ascending list enumerate the cell-type
-            # tuples in the same order as the types themselves
-            for idx in combinations_with_replacement(cube.kept, n0):
-                if not best[0] and idx > best[1]:
-                    break  # no later tuple beats a model without depth-1 points
-                work.spend()
-                seen = 0
-                for j in idx:
-                    seen |= witnessed[j]
-                if seen != all_neq:
-                    continue
-                budget_k = best[0] if idx <= best[1] else best[0] - 1
-                family = cube.family(idx, base, connected, budget_k)
-                if family is not None and (len(family), idx, family) < best:
-                    best = (len(family), idx, family)
+            best = cube.search(n0, base, connected, best)
             if best == (0, (0,) * n0, ()):
                 break  # no candidate of the level precedes it
         if best[1]:

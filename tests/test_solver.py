@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topoconn.constructions import eq1vs2, eq2vs3, k5m, partition, wiggly
+from topoconn.constructions import eq1vs2, eq2vs3, k5m, partition, phi_inf, phi_inf_i, wiggly
 from topoconn.parser import parse
 from topoconn.quasisaw import (
     FrameClass,
@@ -18,11 +18,13 @@ from topoconn.quasisaw import (
     model_to_json,
 )
 from topoconn.solver import (
+    DEFAULT_WORK_LIMIT,
     Bounds,
     ResourceExhausted,
     Sat,
     UnsatUpTo,
     _Budget,
+    _Cube,
     _cell_types,
     _var_masks,
     as_literal_conjunction,
@@ -411,3 +413,151 @@ def test_cell_type_enumeration_is_charged():
     assert work.used == 2 * sum(range(1, 19))
     with pytest.raises(ResourceExhausted):
         _cell_types([], names, _Budget(1000))
+
+
+LADDER = Path(__file__).resolve().parent / "data" / "work_ladder.json"
+
+
+def _ladder_corpus():
+    """The formulas of tests/data/work_ladder.json, each with its class
+    and bounds: ``phi_inf``, three generated conjunctions and 150 seeded
+    random formulas, most of them with several cubes."""
+    yield "phi_inf", phi_inf(), FrameClass.ALL_QS, Bounds(6, 8)
+    yield "eq1vs2", eq1vs2(), FrameClass.CON_QS, Bounds(4, 6)
+    yield (
+        "partition(m0..m3)",
+        partition([f"m{i}" for i in range(4)]),
+        FrameClass.ALL_QS,
+        Bounds(4, 6),
+    )
+    yield "k5m(v1..v5)", k5m([f"v{i}" for i in range(1, 6)]), FrameClass.CON_QS, Bounds(4, 6)
+    rng = random.Random(2510)
+    classes = list(FrameClass)
+    for i in range(150):
+        f = random_formula(rng, ("a", "b", "cc"), 3)
+        yield f"random {i}", f, classes[i % 3], Bounds(3, 3)
+
+
+def test_tuple_loop_work_is_pinned():
+    """The cell-type tuple loop charges one unit per nondecreasing tuple
+    of a cube, whether or not it witnesses every disequation, so these
+    totals pin it."""
+    for f, cls in ((phi_inf(), FrameClass.ALL_QS), (phi_inf_i(), FrameClass.CON_QS)):
+        assert solve(f, cls, Bounds(7, 8)).frames_examined == 245496
+        assert solve(f, cls, Bounds(6, 8)).frames_examined == 74824
+
+
+def test_work_ladder_replays():
+    """Every outcome of ``solve`` under a ladder of work limits is
+    pinned: the exhaustion message, the ``frames_examined`` of a
+    refutation or the certificate.  A change to how the search orders or
+    charges its work moves some rung."""
+    ladder = json.loads(LADDER.read_text())
+    limits = ladder["limits"]
+    cases = list(_ladder_corpus())
+    assert [c["name"] for c in ladder["cases"]] == [name for name, *_ in cases]
+    for case, (name, f, cls, bounds) in zip(ladder["cases"], cases):
+        assert case["formula"] == to_source(f), name
+        assert (case["class"], case["bounds"]) == (cls.value, [bounds.max_w0, bounds.max_w1])
+        got = []
+        for limit in limits:
+            try:
+                result = solve(f, cls, bounds, DEFAULT_WORK_LIMIT if limit is None else limit)
+            except ResourceExhausted as exc:
+                got.append(str(exc))
+                continue
+            got.append(
+                model_to_json(result.model)
+                if isinstance(result, Sat)
+                else result.frames_examined
+            )
+        assert got == case["outcomes"], name
+
+
+class _ScriptedCube(_Cube):
+    """A cube with drawn tuple-loop data: the disequations each type
+    witnesses, and the dead types, which lie in both terms of a negative
+    contact literal; ``_Cube`` marks those with -1.  Its family step
+    logs each tuple it is asked about, spends a scripted amount of work
+    and gives a scripted answer, both fixed by the tuple alone."""
+
+    def __init__(self, kept, witnessed, all_neq, dead, work, seed):
+        self.kept, self.all_neq, self.work = kept, all_neq, work
+        self.drawn, self.dead = witnessed, dead
+        self.witnessed = [-1 if dead >> j & 1 else w for j, w in enumerate(witnessed)]
+        self._suffix = None
+        self.seed = seed
+        self.calls = []
+
+    def family(self, idx, base, connected, budget_k):
+        self.calls.append((idx, budget_k))
+        rng = random.Random(f"{self.seed}:{idx}")
+        self.work.spend(rng.randrange(4))
+        found = tuple(sorted(rng.sample(range(3, 16), rng.choice((0, 0, 1, 2)))))
+        return found if rng.random() < 0.6 and len(found) <= budget_k else None
+
+
+def _flat_search(cube, n0, best):
+    """The tuple loop as a flat pass over every nondecreasing tuple: one
+    unit per tuple, and the family step only for the tuples that witness
+    every disequation and hold no dead type."""
+    for idx in combinations_with_replacement(cube.kept, n0):
+        if not best[0] and idx > best[1]:
+            break
+        cube.work.spend()
+        seen = 0
+        for j in idx:
+            seen |= cube.drawn[j]
+        if seen != cube.all_neq or any(cube.dead >> j & 1 for j in idx):
+            continue
+        budget_k = best[0] if idx <= best[1] else best[0] - 1
+        family = cube.family(idx, None, False, budget_k)
+        if family is not None and (len(family), idx, family) < best:
+            best = (len(family), idx, family)
+    return best
+
+
+@st.composite
+def _tuple_loops(draw):
+    n_types = draw(st.integers(1, 7))
+    kept = sorted(draw(st.sets(st.integers(0, n_types - 1), min_size=1)))
+    all_neq = (1 << draw(st.integers(0, 4))) - 1
+    witnessed = [draw(st.integers(0, all_neq)) for _ in range(n_types)]
+    dead = draw(st.integers(0, (1 << n_types) - 1)) if draw(st.booleans()) else 0
+    n0 = draw(st.integers(1, 5))
+    # the best candidate an earlier cube left: none, or one with or
+    # without depth-1 points; without, the loop stops at the first tuple
+    # past it, possibly inside a block of tuples that cannot pass
+    kind = draw(st.sampled_from(("none", "no depth-1 points", "some depth-1 points")))
+    if kind == "none":
+        best = (4, (), ())
+    else:
+        idx = tuple(sorted(draw(st.lists(st.integers(0, n_types - 1), min_size=n0, max_size=n0))))
+        best = (0, idx, ()) if kind == "no depth-1 points" else (2, idx, (3, 5))
+    return kept, witnessed, all_neq, dead, n0, best, draw(st.integers(0, 99))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tuple_loops())
+def test_prefix_search_matches_the_flat_tuple_loop(loop):
+    """The pruned prefix search of ``_Cube.search`` sends the same tuples
+    to the family step as the flat loop, in the same order and with the
+    same budgets, charges the same total and runs out of work at the
+    same point under every limit."""
+    kept, witnessed, all_neq, dead, n0, best, seed = loop
+
+    def run(search, limit):
+        cube = _ScriptedCube(kept, witnessed, all_neq, dead, _Budget(limit), seed)
+        try:
+            found = search(cube, n0, best)
+        except ResourceExhausted:
+            return "exhausted", cube.calls, None
+        return found, cube.calls, cube.work.used
+
+    def prefix_search(cube, n0, best):
+        return cube.search(n0, [], False, best)
+
+    expected = run(_flat_search, 10**9)
+    assert run(prefix_search, 10**9) == expected
+    for limit in range(expected[2] + 1):
+        assert run(prefix_search, limit) == run(_flat_search, limit), limit

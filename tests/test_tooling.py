@@ -77,12 +77,10 @@ def test_plane_kernel_has_no_floats():
     assert not found, f"constructions.py divides coordinates with '/': {', '.join(found)}"
 
 
-def test_plane_builds_adjacency_only_once_per_arrangement():
-    """The read side of ``plane.py`` answers every query from neighbour
-    masks built with the arrangement: ``_adjacency`` is used only where
-    an arrangement is set up and by ``is_tree`` on its own small graph."""
-    tree = ast.parse((SRC / "plane.py").read_text(encoding="utf-8"))
-    allowed = {"Arrangement.__post_init__", "is_tree"}
+def _uses_outside(module: str, name: str, allowed: set[str]) -> list[str]:
+    """The places in ``module`` that use ``name`` outside the functions
+    named in ``allowed`` (given as ``Class.method`` or ``function``)."""
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -90,12 +88,31 @@ def test_plane_builds_adjacency_only_once_per_arrangement():
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Name) and child.id == "_adjacency" and scope not in allowed:
+            if isinstance(child, ast.Name) and child.id == name and scope not in allowed:
                 found.append(f"{scope or '<module>'} (line {child.lineno})")
             visit(child, scope)
 
     visit(tree, "")
+    return found
+
+
+def test_plane_builds_adjacency_only_once_per_arrangement():
+    """The read side of ``plane.py`` answers every query from neighbour
+    masks built with the arrangement: ``_adjacency`` is used only where
+    an arrangement is set up and by ``is_tree`` on its own small graph."""
+    found = _uses_outside("plane.py", "_adjacency", {"Arrangement.__post_init__", "is_tree"})
     assert not found, f"plane.py builds adjacency outside set-up: {', '.join(found)}"
+
+
+def test_solver_tries_cell_type_tuples_in_one_place():
+    """The solver walks cell-type tuples only with the prefix search of
+    ``_Cube.search``: ``combinations_with_replacement`` is left to
+    ``enumerate_models``, the independent cross-check, and traces of
+    tuples are taken only by ``_Cube.family``."""
+    found = _uses_outside(
+        "solver.py", "combinations_with_replacement", {"enumerate_models"}
+    ) + _uses_outside("solver.py", "_trace_of", {"_Cube.family"})
+    assert not found, f"solver.py walks tuples outside the search: {', '.join(found)}"
 
 
 # the pre-order walkers and the printers still recurse; the list shrinks
