@@ -39,11 +39,14 @@ level lists its successor sets, one cell-type tuple tried for a cube,
 one branch of the family search (one bipartition choice; one branch
 when there is no negative connectedness literal), or one search node of
 the minimal-family search.  ``UnsatUpTo`` reports the units spent as
-``frames_examined``.  The tuples of a cube are searched as prefixes,
-and a prefix that no completion can extend to a tuple satisfying the
-cube's disequations and negative contact literals is skipped whole; its
-tuples are charged as if tried, so ``frames_examined`` and the point
-where the limit is hit do not depend on that pruning.
+``frames_examined``.  The tuples of a cube and the bipartition choices
+of the family search are searched as prefixes.  A prefix of a tuple
+that no completion can extend to one satisfying the cube's
+disequations and negative contact literals is skipped whole, and so is
+a prefix of choices whose removed links leave a positive literal
+unsatisfiable.  Skipped tuples and choices are charged as if tried, so
+``frames_examined`` and the point where the limit is hit do not depend
+on that pruning.
 
 Results are certificates: ``Sat`` carries a model that has been
 re-checked (also against the brute-force oracle when small enough),
@@ -55,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement, product, tee
-from math import ceil, comb
+from math import ceil, comb, prod
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .quasisaw import (
@@ -279,25 +282,51 @@ def _trace_of(tt: int, idx: tuple[int, ...]) -> int:
 # Search over the cubes of the disjunctive normal form
 
 
+def _sets(base: list[int], positions: int) -> list[int]:
+    """The successor sets at ``positions``, in ascending order.  A set of
+    successor sets of a level is an int bitmask over their positions in
+    the level's ascending ``base``; per depth-0 point, ``hits`` holds
+    the positions of the sets that contain it."""
+    out = []
+    while positions:
+        low = positions & -positions
+        out.append(base[low.bit_length() - 1])
+        positions ^= low
+    return out
+
+
+def _meet(hits: list[int], points: int) -> int:
+    """The positions of the successor sets that hold one of ``points``.
+    Only bits below ``len(hits)`` count: ``~t`` is the points outside t."""
+    out = 0
+    for j, h in enumerate(hits):
+        if points >> j & 1:
+            out |= h
+    return out
+
+
 @dataclass
 class _ConnConstraint:
     trace: int
-    interior: bool  # interior connectivity uses only links inside the trace
-    cand: frozenset[int]
+    base: list[int]
+    # the positions of the links that join two points of the trace; for
+    # interior connectedness only the links inside the trace count
+    cand: int
     max_merge: int
 
-    def need(self, family: list[int]) -> int:
-        """A lower bound on the links still missing; 0 when satisfied."""
-        comps = len(mask_components(self.trace, family, self.interior))
+    def need(self, chosen: int) -> int:
+        """A lower bound on the links still missing from the sets at
+        ``chosen``; 0 when satisfied.  Only candidates join points."""
+        comps = len(mask_components(self.trace, _sets(self.base, chosen & self.cand)))
         return ceil((comps - 1) / self.max_merge) if comps > 1 else 0
 
 
 @dataclass
 class _CoverConstraint:
-    cand: frozenset[int]
+    cand: int
 
-    def need(self, family: list[int]) -> int:
-        return 0 if any(m in self.cand for m in family) else 1
+    def need(self, chosen: int) -> int:
+        return 0 if chosen & self.cand else 1
 
 
 def _base_masks(n0: int, cls: FrameClass) -> list[int]:
@@ -309,59 +338,59 @@ def _base_masks(n0: int, cls: FrameClass) -> list[int]:
 
 
 def _minimal_positive_family(
-    allowed: list[int],
+    base: list[int],
+    allowed: int,
     positives: list[_ConnConstraint | _CoverConstraint],
     budget_k: int,
     work: _Budget,
 ) -> Optional[tuple[int, ...]]:
-    """Lexicographically least family of at most ``budget_k`` masks from
-    ``allowed`` satisfying all (upward-monotone) positive constraints;
-    None when none exists.  Callers must have established feasibility
-    under the full allowed family."""
+    """Lexicographically least family of at most ``budget_k`` sets at
+    the positions ``allowed`` satisfying all (upward-monotone) positive
+    constraints; None when none exists.  Callers must have established
+    feasibility under the full allowed family.  Iterative deepening over
+    the family size, each depth a depth-first search on an explicit
+    stack that adds sets in ascending order, one unit of work a node."""
     if not positives:
         return ()
-    useful = frozenset().union(*(c.cand for c in positives))
-    allowed = [m for m in allowed if m in useful]
+    # the packing bound takes the constraints fewest candidates first
+    positives = sorted(positives, key=lambda c: c.cand.bit_count())
 
-    def unsatisfied(family: list[int]) -> list[tuple[int, frozenset[int]]]:
-        return [(n, c.cand) for c in positives if (n := c.need(family))]
+    def unsatisfied(chosen: int) -> list[tuple[int, int]]:
+        return [(n, c.cand) for c in positives if (n := c.need(chosen))]
 
-    def lower_bound(unsat: list[tuple[int, frozenset[int]]]) -> int:
+    def lower_bound(unsat: list[tuple[int, int]]) -> int:
         best = max((n for n, _ in unsat), default=0)
-        packed = 0
-        used: set[int] = set()
-        for n, cand in sorted(unsat, key=lambda item: len(item[1])):
-            if used.isdisjoint(cand):
+        packed = used = 0
+        for n, cand in unsat:
+            if not used & cand:
                 packed += n
                 used |= cand
         return max(best, packed)
 
-    def dfs(family: list[int], start: int, k: int) -> Optional[tuple[int, ...]]:
-        work.spend()
-        unsat = unsatisfied(family)
-        if not unsat:
-            return tuple(family)
-        if len(family) + lower_bound(unsat) > k:
-            return None
-        cand_now = frozenset().union(*(cand for _, cand in unsat))
-        for i in range(start, len(allowed)):
-            m = allowed[i]
-            if m not in cand_now:
-                continue
-            family.append(m)
-            found = dfs(family, i + 1, k)
-            if found is not None:
-                return found
-            family.pop()
-        return None
-
-    lb0 = lower_bound(unsatisfied([]))
-    if lb0 > budget_k:
-        return None
-    for k in range(max(lb0, 1), budget_k + 1):
-        found = dfs([], 0, k)
-        if found is not None:
-            return found
+    for k in range(max(lower_bound(unsatisfied(0)), 1), budget_k + 1):
+        # the positions picked on the path, which ascend, so the last one
+        # is the highest; per open node, the children not yet tried
+        chosen, todo = 0, []
+        while True:
+            work.spend()
+            unsat = unsatisfied(chosen)
+            if not unsat:
+                return tuple(_sets(base, chosen))
+            if chosen.bit_count() + lower_bound(unsat) <= k:
+                cand_now = 0
+                for _, cand in unsat:
+                    cand_now |= cand
+                todo.append(allowed & cand_now & -(1 << chosen.bit_length()))
+            else:
+                chosen ^= 1 << chosen.bit_length() >> 1  # back to the parent
+            while todo and not todo[-1]:
+                todo.pop()
+                chosen ^= 1 << chosen.bit_length() >> 1
+            if not todo:
+                break
+            low = todo[-1] & -todo[-1]
+            todo[-1] ^= low
+            chosen |= low
     return None
 
 
@@ -381,67 +410,80 @@ def _bipartitions(trace: int) -> Iterator[tuple[int, int]]:
         sub = (sub - 1) & rest
 
 
-def _crossing_mask(
-    allowed: list[int], trace: int, interior: bool, part_a: int, part_b: int
-) -> int:
-    """The positions in ``allowed`` of the links joining the two parts
-    of a bipartition of ``trace``; interior connectedness uses only the
-    links inside the trace."""
-    mask = 0
-    for i, m in enumerate(allowed):
-        if interior and m & ~trace:
-            continue
-        if m & part_a and m & part_b:
-            mask |= 1 << i
-    return mask
-
-
 def _minimal_family(
-    allowed: list[int],
+    base: list[int],
+    hits: list[int],
+    allowed: int,
     positives: list[_ConnConstraint | _CoverConstraint],
     negatives: list[tuple[int, bool]],
     budget_k: int,
     work: _Budget,
 ) -> Optional[tuple[int, ...]]:
-    """Smallest family satisfying the positives while keeping every
-    negative trace, given as ``(trace, interior)``, disconnected; ties
-    broken lexicographically.
+    """Smallest family of sets at the positions ``allowed`` satisfying
+    the positives while keeping every negative trace, given as
+    ``(trace, interior)``, disconnected; ties broken lexicographically.
 
     A family keeps a negative trace disconnected exactly when some
     bipartition of that trace has no crossing link in the family, so the
     negatives are eliminated by branching over one bipartition witness
-    per negative and filtering the crossing masks out of ``allowed``.
-    Without negatives there is one branch, which filters nothing.  Each
+    per negative and removing the crossing links from ``allowed``.
+    Without negatives there is one branch, which removes nothing.  Each
     branch costs one unit of work.  The caller has established the
     positives' feasibility under ``allowed`` itself.
-    """
-    crossings = [
-        [_crossing_mask(allowed, t, interior, pa, pb) for pa, pb in _bipartitions(t)]
-        for t, interior in negatives
-    ]
+
+    The branches are searched as prefixes on an explicit stack, in the
+    order of the product of the bipartition lists.  Removing more links
+    never makes a positive feasible again, so a prefix that leaves one
+    infeasible is skipped and its branches are charged in one step,
+    spent before the next ``_minimal_positive_family`` call or at the
+    end: the work runs out before the same call as without skipping."""
+    n = len(negatives)
+    # per negative, the number of bipartitions of its trace
+    sizes = [(1 << t.bit_count() - 1) - 1 for t, _ in negatives]
+    crossings: list[list[int]] = []  # their crossing links, built when reached
+
+    def feasible(removed: int) -> bool:
+        return not any(c.need(c.cand & ~removed) for c in positives if c.cand & removed)
+
     best: Optional[tuple[int, ...]] = None
     seen_filters: set[int] = set()
-    for choice in product(*crossings):
-        work.spend()
-        removed = 0
-        for mask in choice:
-            removed |= mask
-        if removed in seen_filters:
+    pending = 0  # units charged since the last spend
+    # a prefix: its depth, its removed links, and whether its last choice added any
+    stack: list[tuple[int, int, bool]] = [(0, 0, False)]
+    while stack:
+        d, removed, grew = stack.pop()
+        if grew and not feasible(removed):
+            pending += prod(sizes[d:])  # the branches of the prefix
             continue
-        seen_filters.add(removed)
-        filtered = allowed
-        if removed:
-            filtered = [m for i, m in enumerate(allowed) if not removed >> i & 1]
-            if any(c.need(filtered) for c in positives):
+        if d < n and d == len(crossings):
+            t, interior = negatives[d]
+            # interior connectedness uses only the links inside the trace
+            inside = (~_meet(hits, ~t) if interior else -1) & allowed
+            parts = _bipartitions(t)
+            crossings.append([_meet(hits, a) & _meet(hits, b) & inside for a, b in parts])
+        if d + 1 < n:
+            stack += [(d + 1, removed | m, m & ~removed != 0) for m in reversed(crossings[d])]
+            continue
+        for m in crossings[d] if n else (0,):
+            pending += 1
+            branch = removed | m
+            if branch in seen_filters:
                 continue
-        budget = budget_k if best is None else len(best)
-        found = _minimal_positive_family(filtered, positives, budget, work)
-        if found is not None and (
-            best is None or (len(found), found) < (len(best), best)
-        ):
-            best = found
-            if not best:
-                break
+            seen_filters.add(branch)
+            if branch != removed and not feasible(branch):
+                continue
+            work.spend(pending)
+            pending = 0
+            budget = budget_k if best is None else len(best)
+            found = _minimal_positive_family(base, allowed & ~branch, positives, budget, work)
+            if found is not None and (
+                best is None or (len(found), found) < (len(best), best)
+            ):
+                best = found
+                if not best:
+                    stack.clear()
+                    break
+    work.spend(pending)
     return best
 
 
@@ -539,6 +581,7 @@ class _Cube:
         self,
         n0: int,
         base: list[int],
+        hits: list[int],
         connected: bool,
         best: _Candidate,
     ) -> _Candidate:
@@ -600,21 +643,26 @@ class _Cube:
                 pending = 0
                 idx = prefix + (t,)
                 budget_k = best[0] if idx <= best[1] else best[0] - 1
-                family = self.family(idx, base, connected, budget_k)
+                family = self.family(idx, base, hits, connected, budget_k)
                 if family is not None and (len(family), idx, family) < best:
                     best = (len(family), idx, family)
         work.spend(pending)
         return best
 
     def family(
-        self, idx: tuple[int, ...], base: list[int], connected: bool, budget_k: int
+        self,
+        idx: tuple[int, ...],
+        base: list[int],
+        hits: list[int],
+        connected: bool,
+        budget_k: int,
     ) -> Optional[tuple[int, ...]]:
         """The least family of at most ``budget_k`` successor sets from
         ``base`` under which the depth-0 points of cell types ``idx``
         satisfy the cube's contact and connectedness literals; None when
-        there is none."""
+        there is none.  ``hits`` is as for ``_sets``."""
+        allowed = (1 << len(base)) - 1
         pos_contact: list[tuple[int, int]] = []
-        neg_contact: list[tuple[int, int]] = []
         for positive, t1_tt, t2_tt in self.contact_lits:
             t1, t2 = _trace_of(t1_tt, idx), _trace_of(t2_tt, idx)
             if t1 & t2:
@@ -625,7 +673,7 @@ class _Cube:
                     return None
                 pos_contact.append((t1, t2))  # the traces must be linked
             else:
-                neg_contact.append((t1, t2))
+                allowed &= ~(_meet(hits, t1) & _meet(hits, t2))
 
         pos_conn: list[tuple[bool, int]] = []
         negatives: list[tuple[int, bool]] = []
@@ -641,32 +689,28 @@ class _Cube:
         if connected:
             pos_conn.append((False, (1 << len(idx)) - 1))
 
-        allowed = base
-        if neg_contact:
-            allowed = [
-                m
-                for m in base
-                if not any(m & t1 and m & t2 for t1, t2 in neg_contact)
-            ]
         positives: list[_ConnConstraint | _CoverConstraint] = []
         for t1, t2 in pos_contact:
-            cand = frozenset(m for m in allowed if m & t1 and m & t2)
+            cand = _meet(hits, t1) & _meet(hits, t2) & allowed
             if not cand:
                 return None
             positives.append(_CoverConstraint(cand))
         for interior, t in pos_conn:
-            # interior connectedness uses only the links inside the trace
-            cand = frozenset(
-                m
-                for m in allowed
-                if (m & t).bit_count() >= 2 and not (interior and m & ~t)
-            )
-            max_merge = max(((m & t).bit_count() - 1 for m in cand), default=1)
-            constraint = _ConnConstraint(t, interior, cand, max_merge)
-            if constraint.need(list(cand)):
+            # the sets holding at least two points of the trace
+            one = two = 0
+            for j, h in enumerate(hits):
+                if t >> j & 1:
+                    two |= one & h
+                    one |= h
+            cand = two & allowed
+            if interior:  # only the links inside the trace
+                cand &= ~_meet(hits, ~t)
+            max_merge = max(((m & t).bit_count() - 1 for m in _sets(base, cand)), default=1)
+            constraint = _ConnConstraint(t, base, cand, max_merge)
+            if constraint.need(cand):
                 return None
             positives.append(constraint)
-        return _minimal_family(allowed, positives, negatives, budget_k, self.work)
+        return _minimal_family(base, hits, allowed, positives, negatives, budget_k, self.work)
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +744,7 @@ def solve(
     for n0 in range(1, bounds.max_w0 + 1):
         work.spend(1 << n0)  # charged before the list is built
         base = _base_masks(n0, cls)
+        hits = [sum(1 << i for i, m in enumerate(base) if m >> j & 1) for j in range(n0)]
         connected = n0 > 1 and cls is not FrameClass.ALL_QS
         # the least candidate (n1, cell-type tuple, family) so far; the
         # initial one is beaten by every candidate within the bounds
@@ -707,7 +752,7 @@ def solve(
         # replay the cubes drawn so far; draw more only when reached
         cubes, level = tee(cubes)
         for cube in level:
-            best = cube.search(n0, base, connected, best)
+            best = cube.search(n0, base, hits, connected, best)
             if best == (0, (0,) * n0, ()):
                 break  # no candidate of the level precedes it
         if best[1]:

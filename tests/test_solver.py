@@ -1,13 +1,15 @@
 import json
 import random
 import time
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from topoconn.constructions import eq1vs2, eq2vs3, k5m, partition, phi_inf, phi_inf_i, wiggly
+from topoconn import solver
 from topoconn.parser import parse
 from topoconn.quasisaw import (
     FrameClass,
@@ -15,6 +17,7 @@ from topoconn.quasisaw import (
     check,
     classify_frame,
     make_frame,
+    mask_components,
     model_to_json,
 )
 from topoconn.solver import (
@@ -24,8 +27,14 @@ from topoconn.solver import (
     Sat,
     UnsatUpTo,
     _Budget,
+    _ConnConstraint,
+    _CoverConstraint,
     _Cube,
+    _base_masks,
+    _bipartitions,
     _cell_types,
+    _meet,
+    _minimal_family,
     _var_masks,
     as_literal_conjunction,
     enumerate_models,
@@ -40,6 +49,7 @@ from topoconn.syntax import (
     AtomF,
     Complement,
     Conn,
+    Contact,
     Eq,
     IntConn,
     Not,
@@ -447,16 +457,12 @@ def test_tuple_loop_work_is_pinned():
         assert solve(f, cls, Bounds(6, 8)).frames_examined == 74824
 
 
-def test_work_ladder_replays():
-    """Every outcome of ``solve`` under a ladder of work limits is
-    pinned: the exhaustion message, the ``frames_examined`` of a
-    refutation or the certificate.  A change to how the search orders or
-    charges its work moves some rung."""
-    ladder = json.loads(LADDER.read_text())
-    limits = ladder["limits"]
-    cases = list(_ladder_corpus())
-    assert [c["name"] for c in ladder["cases"]] == [name for name, *_ in cases]
-    for case, (name, f, cls, bounds) in zip(ladder["cases"], cases):
+def _replay_ladder(cases, corpus, limits):
+    """Solve each formula of ``corpus`` under every limit and compare
+    the outcomes with the recorded ``cases``."""
+    corpus = list(corpus)
+    assert [c["name"] for c in cases] == [name for name, *_ in corpus]
+    for case, (name, f, cls, bounds) in zip(cases, corpus):
         assert case["formula"] == to_source(f), name
         assert (case["class"], case["bounds"]) == (cls.value, [bounds.max_w0, bounds.max_w1])
         got = []
@@ -474,6 +480,61 @@ def test_work_ladder_replays():
         assert got == case["outcomes"], name
 
 
+def test_work_ladder_replays():
+    """Every outcome of ``solve`` under a ladder of work limits is
+    pinned: the exhaustion message, the ``frames_examined`` of a
+    refutation or the certificate.  A change to how the search orders or
+    charges its work moves some rung."""
+    ladder = json.loads(LADDER.read_text())
+    _replay_ladder(ladder["cases"], _ladder_corpus(), ladder["limits"])
+
+
+NEGATIVES_LADDER = Path(__file__).resolve().parent / "data" / "work_ladder_negatives.json"
+
+
+def _pair_term(rng, names):
+    a, b = (Variable(n) for n in rng.sample(names, 2))
+    return rng.choice((a, Sum(a, b), Product(a, b), Complement(a)))
+
+
+def _negatives_corpus():
+    """Forty seeded literal conjunctions, each with two or three negative
+    ``c``/``ci`` literals and one or two positive literals, at (4,4) in
+    connected quasi-saws and in connected 2-quasi-saws.  At four points
+    a trace has up to seven bipartitions, so the family search branches
+    over hundreds of bipartition choices at once; the random formulas of
+    the main ladder are at (3,3), where a trace has at most three."""
+    rng = random.Random(2611)
+    names = ("a", "b", "cc")
+    for i in range(40):
+        literals = [
+            Not(AtomF(rng.choice((Conn, IntConn))(_pair_term(rng, names))))
+            for _ in range(rng.randint(2, 3))
+        ]
+        for _ in range(rng.randint(1, 2)):
+            kind = rng.randrange(4)
+            if kind == 2:
+                literals.append(AtomF(Contact(_pair_term(rng, names), _pair_term(rng, names))))
+            elif kind == 3:
+                literals.append(Not(AtomF(Eq(_pair_term(rng, names), ZERO))))
+            else:
+                literals.append(AtomF((Conn, IntConn)[kind](_pair_term(rng, names))))
+        rng.shuffle(literals)
+        f = conj(literals)
+        for cls in (FrameClass.CON_QS, FrameClass.CON_2QS):
+            yield f"negatives {i} in {cls.value}", f, cls, Bounds(4, 4)
+
+
+def test_work_ladder_with_several_negatives_replays():
+    """The ladder of work limits on formulas whose family search
+    branches over the bipartitions of two or three negative traces; the
+    outcomes were recorded before the bipartition choices were searched
+    as prefixes, so a pruned block charged differently moves a rung."""
+    limits = json.loads(LADDER.read_text())["limits"]
+    cases = json.loads(NEGATIVES_LADDER.read_text())["cases"]
+    _replay_ladder(cases, _negatives_corpus(), limits)
+
+
 class _ScriptedCube(_Cube):
     """A cube with drawn tuple-loop data: the disequations each type
     witnesses, and the dead types, which lie in both terms of a negative
@@ -489,7 +550,7 @@ class _ScriptedCube(_Cube):
         self.seed = seed
         self.calls = []
 
-    def family(self, idx, base, connected, budget_k):
+    def family(self, idx, base, hits, connected, budget_k):
         self.calls.append((idx, budget_k))
         rng = random.Random(f"{self.seed}:{idx}")
         self.work.spend(rng.randrange(4))
@@ -511,7 +572,7 @@ def _flat_search(cube, n0, best):
         if seen != cube.all_neq or any(cube.dead >> j & 1 for j in idx):
             continue
         budget_k = best[0] if idx <= best[1] else best[0] - 1
-        family = cube.family(idx, None, False, budget_k)
+        family = cube.family(idx, None, None, False, budget_k)
         if family is not None and (len(family), idx, family) < best:
             best = (len(family), idx, family)
     return best
@@ -555,9 +616,268 @@ def test_prefix_search_matches_the_flat_tuple_loop(loop):
         return found, cube.calls, cube.work.used
 
     def prefix_search(cube, n0, best):
-        return cube.search(n0, [], False, best)
+        return cube.search(n0, [], [], False, best)
 
     expected = run(_flat_search, 10**9)
     assert run(prefix_search, 10**9) == expected
     for limit in range(expected[2] + 1):
         assert run(prefix_search, limit) == run(_flat_search, limit), limit
+
+
+# The family search over bitsets: successor sets of a level are
+# positions in ``base``, and the tests below rebuild every mask with a
+# comprehension over ``base``.
+
+
+def _hits(base, n0):
+    return [sum(1 << i for i, m in enumerate(base) if m >> j & 1) for j in range(n0)]
+
+
+def _positions(base, allowed, keep):
+    """The positions in ``base``, among ``allowed``, of the sets that
+    ``keep`` accepts."""
+    return sum(1 << i for i, m in enumerate(base) if allowed >> i & 1 and keep(m))
+
+
+@st.composite
+def _family_literals(draw):
+    n0 = draw(st.integers(1, 6))
+    cls = draw(st.sampled_from(list(FrameClass)))
+    traces = st.integers(0, (1 << n0) - 1)
+    contact = draw(st.lists(st.tuples(st.booleans(), traces, traces), max_size=3))
+    conn = draw(st.lists(st.tuples(st.booleans(), st.booleans(), traces), max_size=3))
+    return n0, cls, contact, conn
+
+
+@settings(max_examples=300, deadline=None)
+@given(_family_literals())
+def test_family_masks_match_comprehensions(literals):
+    """``_meet``, the negative-contact filter, the cover candidates, the
+    two-counter candidates of ``c``/``ci`` with the inside mask of
+    ``ci``, and the crossing masks of each negative trace, each against
+    a comprehension over ``base``.  With one cell type per point, a
+    term's trace is its mask."""
+    n0, cls, contact, conn = literals
+    base = _base_masks(n0, cls)
+    hits = _hits(base, n0)
+    everything = (1 << len(base)) - 1
+    for t in range(1 << n0):
+        assert _meet(hits, t) == _positions(base, everything, lambda m: m & t)
+        assert _meet(hits, ~t) == _positions(base, everything, lambda m: m & ~t)
+
+    # the reference: the list comprehensions of the family step
+    expected = None
+    forbidden = [(t1, t2) for positive, t1, t2 in contact if not positive]
+    covers = [(t1, t2) for positive, t1, t2 in contact if positive and not t1 & t2]
+    pos_conn = [(i, t) for positive, i, t in conn if positive and t.bit_count() > 1]
+    connected = n0 > 1 and cls is not FrameClass.ALL_QS
+    if connected:
+        pos_conn.append((False, (1 << n0) - 1))
+    allowed = _positions(
+        base, everything, lambda m: not any(m & t1 and m & t2 for t1, t2 in forbidden)
+    )
+    cands = [_positions(base, allowed, lambda m: m & t1 and m & t2) for t1, t2 in covers]
+    for interior, t in pos_conn:
+        cands.append(
+            _positions(
+                base,
+                allowed,
+                lambda m: (m & t).bit_count() > 1 and not (interior and m & ~t),
+            )
+        )
+    links = [[m for i, m in enumerate(base) if c >> i & 1] for c in cands[len(covers) :]]
+    if (
+        not any(not p and t1 & t2 for p, t1, t2 in contact)
+        and not any(not p and t.bit_count() < 2 for p, _, t in conn)
+        and all(t1 and t2 for t1, t2 in covers)
+        and all(cands[: len(covers)])
+        and all(
+            len(mask_components(t, sets, interior)) < 2
+            for (interior, t), sets in zip(pos_conn, links)
+        )
+    ):
+        negatives = [(t, i) for positive, i, t in conn if not positive]
+        expected = (allowed, cands, negatives)
+
+    cube = object.__new__(_Cube)
+    cube.contact_lits, cube.conn_lits, cube.work = contact, conn, _Budget(10**9)
+    got = []
+
+    def capture(base_, hits_, allowed, positives, negatives, budget_k, work):
+        got.append((allowed, [c.cand for c in positives], negatives))
+        return ()
+
+    with mock.patch.object(solver, "_minimal_family", capture):
+        result = cube.family(tuple(range(n0)), base, hits, connected, 2)
+    assert got == ([] if expected is None else [expected])
+    assert result == (None if expected is None else ())
+
+    # each negative trace's crossing masks: with no positive to satisfy
+    # and a family step that finds nothing, every distinct crossing mask
+    # is removed from ``allowed`` once, in bipartition order
+    for positive, interior, t in conn:
+        if positive or t.bit_count() < 2:
+            continue
+        parts = list(_bipartitions(t))
+        low = t & -t
+        assert sorted(parts) == [
+            (a, t & ~a) for a in range(1 << n0) if a & low and a & t == a and a != t
+        ]
+        crossings = []
+        for a, b in parts:
+            crossing = _positions(
+                base,
+                allowed,
+                lambda m: m & a and m & b and not (interior and m & ~t),
+            )
+            if crossing not in crossings:
+                crossings.append(crossing)
+        steps = []
+
+        def step(base_, allowed_, positives, budget, work):
+            steps.append(allowed_)
+            return None
+
+        with mock.patch.object(solver, "_minimal_positive_family", step):
+            _minimal_family(base, hits, allowed, [], [(t, interior)], 2, _Budget(10**9))
+        assert steps == [allowed & ~c for c in crossings]
+
+
+def _crossing_mask(allowed, trace, interior, part_a, part_b):
+    """The positions in the list ``allowed`` of the links joining the
+    two parts of a bipartition of ``trace``."""
+    mask = 0
+    for i, m in enumerate(allowed):
+        if interior and m & ~trace:
+            continue
+        if m & part_a and m & part_b:
+            mask |= 1 << i
+    return mask
+
+
+def _product_loop(allowed, positives, negatives, budget_k, work, step):
+    """The bipartition search as a flat pass over the product of the
+    negatives' bipartition lists, over successor sets kept in lists: one
+    unit per choice, a choice whose removed links repeat an earlier one
+    skipped, the positives re-checked on the filtered list, and the
+    family step for every choice that passes."""
+    crossings = [
+        [_crossing_mask(allowed, t, interior, pa, pb) for pa, pb in _bipartitions(t)]
+        for t, interior in negatives
+    ]
+    best = None
+    seen_filters = set()
+    for choice in product(*crossings):
+        work.spend()
+        removed = 0
+        for mask in choice:
+            removed |= mask
+        if removed in seen_filters:
+            continue
+        seen_filters.add(removed)
+        filtered = allowed
+        if removed:
+            filtered = [m for i, m in enumerate(allowed) if not removed >> i & 1]
+            if any(need(filtered) for need in positives):
+                continue
+        budget = budget_k if best is None else len(best)
+        found = step(filtered, budget, work)
+        if found is not None and (best is None or (len(found), found) < (len(best), best)):
+            best = found
+            if not best:
+                break
+    return best
+
+
+@st.composite
+def _bipartition_searches(draw):
+    n0 = draw(st.integers(2, 4))
+    base = _base_masks(n0, draw(st.sampled_from(list(FrameClass))))
+    # most sets allowed, so that most positives are satisfiable
+    everything = (1 << len(base)) - 1
+    dropped = draw(st.integers(0, everything)) & draw(st.integers(0, everything))
+    allowed = everything & ~dropped
+    points = st.integers(1, (1 << n0) - 1)
+    traces = points.filter(lambda t: t.bit_count() > 1)
+    negatives = draw(st.lists(st.tuples(traces, st.booleans()), min_size=1, max_size=3))
+    covers = draw(st.lists(st.tuples(points, points), max_size=2))
+    conns = draw(st.lists(st.tuples(st.booleans(), traces), max_size=2))
+    if draw(st.booleans()):
+        conns.append((False, (1 << n0) - 1))  # the frame is connected
+    budget_k, seed = draw(st.integers(0, 3)), draw(st.integers(0, 99))
+    return n0, base, allowed, negatives, covers, conns, budget_k, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bipartition_searches())
+def test_bipartition_prefix_search_matches_the_product_loop(search):
+    """``_minimal_family`` sends the same filtered sets to the family
+    step as the flat product loop, in the same order and with the same
+    budgets, charges the same total and runs out of work before the same
+    call under every limit.  The family step is scripted: it logs its
+    call, spends work and answers, sometimes with the empty family, all
+    fixed by its sets."""
+    n0, base, allowed, negatives, covers, conns, budget_k, seed = search
+    hits = _hits(base, n0)
+    allowed_sets = [m for i, m in enumerate(base) if allowed >> i & 1]
+    # the positives, each as a constraint of the solver and as the
+    # reference's test on a list of sets; only those satisfiable under
+    # ``allowed``, as the caller guarantees
+    positives, needs = [], []
+    for t1, t2 in covers:
+        if t1 & t2:
+            continue
+        cand = _positions(base, allowed, lambda m: m & t1 and m & t2)
+        if cand:
+            positives.append(_CoverConstraint(cand))
+            needs.append(
+                lambda sets, t1=t1, t2=t2: not any(m & t1 and m & t2 for m in sets)
+            )
+    for interior, t in conns:
+        cand = _positions(
+            base, allowed, lambda m: (m & t).bit_count() > 1 and not (interior and m & ~t)
+        )
+        sets = [m for i, m in enumerate(base) if cand >> i & 1]
+        if len(mask_components(t, sets, interior)) < 2:
+            merge = max((m & t).bit_count() - 1 for m in sets) if sets else 1
+            positives.append(_ConnConstraint(t, base, cand, merge))
+            needs.append(
+                lambda sets, t=t, i=interior: len(mask_components(t, sets, i)) > 1
+            )
+
+    def script(sets, budget, work, calls):
+        calls.append((sets, budget))
+        rng = random.Random(f"{seed}:{sets}")
+        work.spend(rng.randrange(4))
+        answer = rng.random()
+        if answer < 0.1:
+            return ()
+        if answer < 0.5 or not sets:
+            return None
+        found = tuple(sorted(rng.sample(sets, min(len(sets), rng.randint(1, 3)))))
+        return found if len(found) <= budget else None
+
+    def run(limit, flat):
+        calls, work = [], _Budget(limit)
+        try:
+            if flat:
+                step = lambda sets, budget, work: script(tuple(sets), budget, work, calls)
+                found = _product_loop(allowed_sets, needs, negatives, budget_k, work, step)
+            else:
+
+                def step(base_, allowed_, positives_, budget, work):
+                    sets = tuple(m for i, m in enumerate(base) if allowed_ >> i & 1)
+                    return script(sets, budget, work, calls)
+
+                with mock.patch.object(solver, "_minimal_positive_family", step):
+                    found = _minimal_family(
+                        base, hits, allowed, positives, negatives, budget_k, work
+                    )
+        except ResourceExhausted:
+            return "exhausted", calls, None
+        return found, calls, work.used
+
+    expected = run(10**9, True)
+    assert run(10**9, False) == expected
+    for limit in range(expected[2] + 1):
+        assert run(limit, False) == run(limit, True), limit

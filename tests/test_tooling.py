@@ -115,6 +115,22 @@ def test_solver_tries_cell_type_tuples_in_one_place():
     assert not found, f"solver.py walks tuples outside the search: {', '.join(found)}"
 
 
+def test_solver_keeps_sets_of_successor_sets_as_bitmasks():
+    """The family search keeps every set of successor sets as an int
+    bitmask over their positions in a level's list, and walks the
+    bipartition choices as prefixes: ``product`` is left to
+    ``enumerate_models``, ``frozenset`` to the model builders, and the
+    list-based ``_crossing_mask`` is gone."""
+    found = _uses_outside("solver.py", "product", {"enumerate_models"}) + _uses_outside(
+        "solver.py", "frozenset", {"_build_model", "enumerate_models"}
+    )
+    assert not found, f"solver.py keeps sets of successor sets otherwise: {', '.join(found)}"
+    tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
+    names = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "_crossing_mask" not in names
+
+
 # the pre-order walkers and the printers still recurse; the list shrinks
 # as they move onto iterative walks
 RECURSIVE_SYNTAX = {"term_variables", "atoms", "conjuncts", "term_to_source", "to_source"}
